@@ -60,7 +60,13 @@ def parse_fleet_spec(spec: str) -> List[Tuple[int, str]]:
                 f"bad fleet spec {spec!r}; expected e.g. '4xNX+2xAGX'"
             )
         count, device = int(m.group(1)), m.group(2).upper()
-        device_by_name(device)  # validates
+        try:
+            device_by_name(device)
+        except KeyError:
+            raise ValueError(
+                f"unknown device {device!r} in fleet spec {spec!r}; "
+                "use NX or AGX"
+            ) from None
         if count < 1:
             raise ValueError(f"bad device count in {spec!r}")
         groups.append((count, device))

@@ -14,12 +14,13 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
-from repro.hardware.cost import CostModel
+from repro.hardware.cost import CostModel, invocation_us
 from repro.hardware.specs import DeviceSpec
 
 from repro.engine.builder import _stored_weight_bytes
 from repro.engine.engine import Engine
 from repro.lint.plan_rules import lint_engine
+from repro.runtime.providers import provider_cost_params
 
 
 def inspect_engine(
@@ -64,30 +65,13 @@ def inspect_engine(
             continue
         layer = layer_by_name[binding.layer_name]
         provider = getattr(binding, "provider", "trt")
-        params = None
-        if provider != "trt":
-            from repro.runtime.providers import provider_cost_params
-
-            params = provider_cost_params(provider)
+        params = provider_cost_params(provider)
         kernel_entries = []
         for kernel in binding.kernels:
             cost = cost_model.kernel_cost(kernel, binding.workload, clock)
-            if params is not None:
-                # Mirror the timeline's provider cost scaling so the
-                # inspector's prediction matches what simulation bills.
-                work = max(
-                    cost.compute_us / params.compute_scale,
-                    cost.bandwidth_us / params.bandwidth_scale,
-                )
-                if len(binding.kernels) > 1:
-                    work /= len(binding.kernels)
-                predicted = (
-                    cost.launch_us * params.launch_scale
-                    + work
-                    + cost.latency_us * params.latency_scale
-                )
-            else:
-                predicted = cost.total_us
+            predicted = invocation_us(
+                cost, len(binding.kernels), params, mem_contention=1.0
+            )
             kernel_entries.append(
                 {
                     "name": kernel.name,

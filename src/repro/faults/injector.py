@@ -282,14 +282,13 @@ class FaultInjector:
     # ------------------------------------------------------------------
     def ram_stolen_mb(self, device) -> float:
         """MB of usable board RAM consumed by active OOM pressure."""
-        from repro.hardware.scheduler import USABLE_RAM_FRACTION
+        from repro.hardware.scheduler import usable_ram_mb
 
-        usable = device.ram_gb * 1024.0 * USABLE_RAM_FRACTION
         fraction = sum(
             self._amp(s, RAM_STEAL_PER_SEVERITY * s.severity)
             for _, s in self._active(FaultKind.OOM)
         )
-        return usable * min(1.0, fraction)
+        return usable_ram_mb(device) * min(1.0, fraction)
 
     def bandwidth_scale(self) -> float:
         """Multiplier on effective DRAM bandwidth (<= 1)."""

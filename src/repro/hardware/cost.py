@@ -25,11 +25,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from repro.caching import caching_enabled, register_cache
 from repro.graph.ir import DataType
 from repro.hardware.specs import DeviceSpec
 from repro.hardware.workload import LayerWorkload
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.runtime.providers import ProviderCostParams
 
 
 def _per_sm_flops_per_clock(device: DeviceSpec, kernel) -> float:
@@ -58,6 +62,39 @@ class KernelCost:
             + max(self.compute_us, self.bandwidth_us)
             + self.latency_us
         )
+
+
+def invocation_us(
+    cost: KernelCost,
+    n_kernels: int,
+    params: "ProviderCostParams",
+    mem_contention: float,
+) -> float:
+    """Base duration of one kernel invocation of a binding.
+
+    The one pricing of an invocation: the timeline bills it and the
+    inspector reports it.  ``mem_contention`` (>= 1.0) stretches the
+    bandwidth term for co-located tenants sharing DRAM.  A provider's
+    ``params`` shrink the effective FLOP rate and bandwidth (divide)
+    and grow the launch and latency-exposure terms (multiply); TRT's
+    identity params multiply and divide by exactly 1.0, so its costs
+    are the calibrated model unchanged.  A multi-kernel binding
+    (detection pipeline) splits the layer's *work* across its
+    ``n_kernels`` kernels; each invocation still pays its own launch
+    overhead and dependent-load latency chains (a sort pass's pointer
+    chasing does not shrink because other passes exist).
+    """
+    work = max(
+        cost.compute_us / params.compute_scale,
+        cost.bandwidth_us * mem_contention / params.bandwidth_scale,
+    )
+    if n_kernels > 1:
+        work /= n_kernels
+    return (
+        cost.launch_us * params.launch_scale
+        + work
+        + cost.latency_us * params.latency_scale
+    )
 
 
 class CostModel:

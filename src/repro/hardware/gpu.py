@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 import numpy as np
 
 from repro.caching import caching_enabled
-from repro.hardware.cost import CostModel
+from repro.hardware.cost import CostModel, invocation_us
 from repro.hardware.memory import MemcpyModel
 from repro.hardware.specs import DeviceSpec
 from repro.telemetry.bus import BUS, SpanKind
@@ -128,6 +128,8 @@ def _timeline_skeleton(
         raise ValueError(
             f"mem_contention must be >= 1.0, got {mem_contention}"
         )
+    from repro.runtime.providers import provider_cost_params
+
     cost_model = CostModel(device)
     memcpy = MemcpyModel(device)
     upload: Optional[Tuple[int, int, float]] = None
@@ -160,12 +162,7 @@ def _timeline_skeleton(
             )
             continue
         n_kernels = len(binding.kernels)
-        params = None
-        provider = getattr(binding, "provider", "trt")
-        if provider != "trt":
-            from repro.runtime.providers import provider_cost_params
-
-            params = provider_cost_params(provider)
+        params = provider_cost_params(getattr(binding, "provider", "trt"))
         for kernel in binding.kernels:
             cost = cost_model.kernel_cost(
                 kernel,
@@ -173,40 +170,7 @@ def _timeline_skeleton(
                 clock_mhz,
                 sm_fraction=sm_fraction,
             )
-            # A multi-kernel binding (detection pipeline) splits the
-            # layer's *work* across its kernels; each invocation still
-            # pays its own launch overhead and dependent-load latency
-            # chains (a sort pass's pointer chasing does not shrink
-            # because other passes exist).
-            bw_us = cost.bandwidth_us * mem_contention
-            if params is not None:
-                # Non-TRT providers scale the cost terms: effective
-                # FLOP rate and bandwidth shrink (divide), launch and
-                # latency exposure grow (multiply).  The TRT branch
-                # below is untouched — its costs define the model.
-                work = max(
-                    cost.compute_us / params.compute_scale,
-                    bw_us / params.bandwidth_scale,
-                )
-                if n_kernels > 1:
-                    work /= n_kernels
-                base = (
-                    cost.launch_us * params.launch_scale
-                    + work
-                    + cost.latency_us * params.latency_scale
-                )
-            elif n_kernels > 1:
-                base = (
-                    cost.launch_us
-                    + max(cost.compute_us, bw_us) / n_kernels
-                    + cost.latency_us
-                )
-            else:
-                base = (
-                    cost.launch_us
-                    + max(cost.compute_us, bw_us)
-                    + cost.latency_us
-                )
+            base = invocation_us(cost, n_kernels, params, mem_contention)
             kernels.append((kernel.name, binding.layer_name, base, 0))
     bases = np.array([k[2] for k in kernels], dtype=np.float64)
     bases.setflags(write=False)

@@ -41,6 +41,12 @@ UTILIZATION_CEILING = 0.862
 #: CUDA context overhead excluded).
 USABLE_RAM_FRACTION = 0.70
 
+
+def usable_ram_mb(device: DeviceSpec) -> float:
+    """Board RAM available to inference work on ``device`` (MB)."""
+    return device.ram_gb * 1024.0 * USABLE_RAM_FRACTION
+
+
 #: Host CPU time to submit one kernel launch into a stream (us, on the
 #: NX's 6-core Carmel; scales inversely with core count).  With many
 #: streams the ARM cores become the submission bottleneck for
@@ -212,7 +218,7 @@ class StreamScheduler:
             n_bw = 2 ** 31
         ram_mb = max(
             0.0,
-            self.device.ram_gb * 1024 * USABLE_RAM_FRACTION
+            usable_ram_mb(self.device)
             - self._ram_stolen_mb()
             - self.resident_mb,
         )

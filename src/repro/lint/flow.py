@@ -602,9 +602,9 @@ def _check_peak_memory(view: FlowView, report) -> None:
     working = view.certified_working_set_bytes()
     if working is None:
         return
-    from repro.hardware.scheduler import USABLE_RAM_FRACTION
+    from repro.hardware.scheduler import usable_ram_mb
 
-    usable = device.ram_gb * 1024**3 * USABLE_RAM_FRACTION
+    usable = usable_ram_mb(device) * 2**20
     if working > usable:
         report(
             f"certified working set {working / 2**20:.0f} MB at batch "

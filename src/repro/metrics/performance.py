@@ -13,6 +13,18 @@ from typing import Sequence
 import numpy as np
 
 
+def percentile(samples: Sequence[float], pct: float) -> float:
+    """The ``pct``-th percentile of ``samples`` (0.0 when empty).
+
+    The repo's one quantile convention: linear interpolation between
+    the closest ranks (numpy's default).  Every reported p50/p95/p99
+    goes through here, so two views of one run cannot disagree.
+    """
+    if not len(samples):
+        return 0.0
+    return float(np.percentile(samples, pct))
+
+
 def fps_from_latency_us(latency_us: float) -> float:
     """Frames per second implied by a per-frame latency."""
     if latency_us <= 0:

@@ -10,12 +10,11 @@
   renderer (re-exported; it lives on the telemetry bus).
 
 All three implement the :class:`repro.telemetry.Profiler` protocol:
-attach any of them to a run with ``repro.telemetry.session(...)``.
-The legacy module-level helpers ``to_chrome_trace`` /
-``save_chrome_trace`` still work but emit a ``DeprecationWarning``.
+attach any of them to a run with ``repro.telemetry.session(...)``, or
+feed a :class:`ChromeTrace` directly with ``add_timing`` /
+``add_fault_log`` and render it with ``to_document()`` or ``save()``.
 """
 
-from repro.profiling.chrome_trace import save_chrome_trace, to_chrome_trace
 from repro.profiling.nvprof import KernelStats, Nvprof
 from repro.profiling.tegrastats import Tegrastats, TegrastatsSample
 from repro.telemetry.sinks import ChromeTrace
@@ -26,6 +25,4 @@ __all__ = [
     "Nvprof",
     "Tegrastats",
     "TegrastatsSample",
-    "save_chrome_trace",
-    "to_chrome_trace",
 ]

@@ -56,8 +56,8 @@ class ProviderCostParams:
     the TRT-tuned kernels achieve); ``launch_scale``/``latency_scale``
     multiply the per-launch overhead and exposed-latency terms.  The
     TRT provider is the identity by definition — its costs *are* the
-    calibrated paper model — so the scaling branch is skipped entirely
-    for it and TRT timelines stay bit-identical.
+    calibrated paper model — and scaling by exactly 1.0 leaves every
+    term of :func:`repro.hardware.cost.invocation_us` unchanged.
     """
 
     compute_scale: float = 1.0

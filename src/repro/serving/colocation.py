@@ -47,9 +47,9 @@ import numpy as np
 from repro.engine.engine import Engine, ExecutionContext
 from repro.engine.store import EnginePool
 from repro.hardware.scheduler import (
-    USABLE_RAM_FRACTION,
     UTILIZATION_CEILING,
     StreamScheduler,
+    usable_ram_mb,
 )
 from repro.hardware.specs import DeviceSpec
 from repro.telemetry.bus import BUS, SpanKind
@@ -281,10 +281,7 @@ class ColocationScheduler:
     # ------------------------------------------------------------------
     def usable_mb(self) -> float:
         """The one RAM budget everything is charged against."""
-        return (
-            self.device.ram_gb * 1024.0 * USABLE_RAM_FRACTION
-            - self.config.headroom_mb
-        )
+        return usable_ram_mb(self.device) - self.config.headroom_mb
 
     def _working_set_mb(self, idx: int) -> float:
         tenant = self.tenants[idx]

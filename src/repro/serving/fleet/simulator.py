@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
 from repro.faults.scenario import FaultPlan
+from repro.metrics.performance import percentile
 from repro.serving.fleet.degradation import (
     DegradationConfig,
     DegradationGovernor,
@@ -106,17 +107,6 @@ class FleetReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-
-def _quantile(sorted_values: List[float], q: float) -> float:
-    """Nearest-rank quantile over an already-sorted list."""
-    if not sorted_values:
-        return 0.0
-    idx = min(
-        len(sorted_values) - 1,
-        max(0, int(round(q * (len(sorted_values) - 1)))),
-    )
-    return sorted_values[idx]
 
 
 class FleetSimulator:
@@ -217,9 +207,8 @@ class FleetSimulator:
             str(p): (v[0] / v[1] if v[1] else 0.0)
             for p, v in sorted(by_prio.items())
         }
-        latencies.sort()
-        report.p50_latency_ms = _quantile(latencies, 0.50)
-        report.p99_latency_ms = _quantile(latencies, 0.99)
+        report.p50_latency_ms = percentile(latencies, 50)
+        report.p99_latency_ms = percentile(latencies, 99)
         for device in self.devices:
             report.failovers += len(device.restores)
             report.warm_failovers += sum(

@@ -20,7 +20,7 @@ one-to-one onto the paper's characterized failure modes:
   deadline unmeetable at the current level, the supervisor steps down
   to a cheaper engine (INT8 → FP16 → a lite model), and climbs back
   once latencies recover;
-* **plan integrity audit + rebuild** — :func:`load_or_rebuild_engine`
+* **plan integrity audit + rebuild** — :func:`load_or_rebuild`
   refuses a ``.plan`` file that fails its lint audit and rebuilds from
   the source network, reusing a :class:`~repro.engine.timing_cache
   .TimingCache` so the rebuild binds the same tactics (the mitigation
@@ -42,15 +42,15 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro._deprecation import warn_once
 from repro.engine.engine import Engine, ExecutionContext
 from repro.faults.events import FaultError, FaultKind
 from repro.faults.injector import FaultInjector
 from repro.faults.scenario import FaultPlan
 from repro.hardware.clocks import ClockDomain
-from repro.hardware.scheduler import USABLE_RAM_FRACTION, StreamScheduler
+from repro.hardware.scheduler import StreamScheduler, usable_ram_mb
 from repro.hardware.specs import DeviceSpec
-from repro.profiling.tegrastats import Tegrastats, TegrastatsSample
+from repro.metrics.performance import percentile
+from repro.profiling.tegrastats import TegrastatsSample
 from repro.serving.batching import BatchingConfig, BatchRequest, coalesce
 from repro.telemetry.bus import BUS, SpanKind
 
@@ -225,7 +225,6 @@ class ServiceReport:
         out: Dict[str, Dict[str, Any]] = {}
         for name, records in sorted(streams.items()):
             served = [r.latency_ms for r in records if not r.dropped]
-            arr = np.asarray(served) if served else np.zeros(0)
             out[name] = {
                 "requests": len(records),
                 "served": len(served),
@@ -239,16 +238,10 @@ class ServiceReport:
                     if records else 0.0
                 ),
                 "retries": sum(max(0, r.attempts - 1) for r in records),
-                "mean_latency_ms": float(arr.mean()) if served else 0.0,
-                "p50_latency_ms": (
-                    float(np.percentile(arr, 50)) if served else 0.0
-                ),
-                "p95_latency_ms": (
-                    float(np.percentile(arr, 95)) if served else 0.0
-                ),
-                "p99_latency_ms": (
-                    float(np.percentile(arr, 99)) if served else 0.0
-                ),
+                "mean_latency_ms": float(np.mean(served)) if served else 0.0,
+                "p50_latency_ms": percentile(served, 50),
+                "p95_latency_ms": percentile(served, 95),
+                "p99_latency_ms": percentile(served, 99),
             }
         return out
 
@@ -310,6 +303,10 @@ class InferenceSupervisor:
             as batched engine executions; ``None`` (the default) keeps
             the pre-batching one-request-per-execution path,
             bit-identical to earlier behavior.
+
+    Per-frame board samples (RAM, GPU utilization, clock) go to the
+    telemetry bus: attach a :class:`~repro.profiling.Tegrastats` sink
+    with ``repro.telemetry.session(...)`` to record them.
     """
 
     def __init__(
@@ -322,7 +319,6 @@ class InferenceSupervisor:
         device: Optional[DeviceSpec] = None,
         supervised: bool = True,
         seed: int = 0,
-        tegrastats: Optional[Tegrastats] = None,
         batching: Optional[BatchingConfig] = None,
     ):
         if not streams:
@@ -334,14 +330,6 @@ class InferenceSupervisor:
         self.injector = injector or FaultInjector()
         self.supervised = supervised
         self.seed = seed
-        if tegrastats is not None:
-            warn_once(
-                "InferenceSupervisor.tegrastats",
-                "InferenceSupervisor(tegrastats=...) is deprecated; "
-                "attach the Tegrastats sink via "
-                "repro.telemetry.session(...) instead",
-            )
-        self.tegrastats = tegrastats
         self.batching = batching
         self.clock = ClockDomain(self.device)
         hook = self.injector.executor_hook()
@@ -424,17 +412,15 @@ class InferenceSupervisor:
 
         These bytes were previously billed only against the
         :class:`~repro.engine.store.EnginePool` budget while the stream
-        budget assumed the full ``USABLE_RAM_FRACTION`` share — the two
-        together could over-commit board RAM.  Admission control now
-        deducts residency before dividing by the per-stream working
-        set.
+        budget assumed the full usable-RAM share — the two together
+        could over-commit board RAM.  Admission control now deducts
+        residency before dividing by the per-stream working set.
         """
         return sum(e.size_bytes for e in self.engines) / (1024.0 * 1024.0)
 
     def _streams_that_fit(self) -> int:
-        usable = self.device.ram_gb * 1024.0 * USABLE_RAM_FRACTION
         budget = (
-            usable
+            usable_ram_mb(self.device)
             - self._resident_engine_mb()
             - self.injector.ram_stolen_mb(self.device)
             - self.config.admission_headroom_mb
@@ -879,7 +865,7 @@ class InferenceSupervisor:
                     if self.supervised:
                         self._adapt_level(record)
 
-            if self.tegrastats is not None or BUS.active:
+            if BUS.active:
                 fired = self.injector.log.events[events_before:]
                 note = ", ".join(
                     sorted({e.kind.value for e in fired})
@@ -900,20 +886,17 @@ class InferenceSupervisor:
                     cpu_util_pct=min(95.0, 10.0 * active),
                     note=note,
                 )
-                if self.tegrastats is not None:
-                    self.tegrastats.record(sample)
-                if BUS.active:
-                    BUS.emit(
-                        SpanKind.SAMPLE,
-                        "tegrastats",
-                        ram_used_mb=sample.ram_used_mb,
-                        ram_total_mb=sample.ram_total_mb,
-                        gpu_util_pct=sample.gpu_util_pct,
-                        gpu_freq_mhz=sample.gpu_freq_mhz,
-                        cpu_util_pct=sample.cpu_util_pct,
-                        note=note,
-                        _sample=sample,
-                    )
+                BUS.emit(
+                    SpanKind.SAMPLE,
+                    "tegrastats",
+                    ram_used_mb=sample.ram_used_mb,
+                    ram_total_mb=sample.ram_total_mb,
+                    gpu_util_pct=sample.gpu_util_pct,
+                    gpu_freq_mhz=sample.gpu_freq_mhz,
+                    cpu_util_pct=sample.cpu_util_pct,
+                    note=note,
+                    _sample=sample,
+                )
         return report
 
 
@@ -1017,30 +1000,6 @@ def load_or_rebuild(
         config = dataclasses.replace(config, provider=provider)
     engine = EngineBuilder(device, config).build(network)
     return engine, True
-
-
-def load_or_rebuild_engine(
-    plan_path,
-    network,
-    device: DeviceSpec,
-    builder_config=None,
-    injector: Optional[FaultInjector] = None,
-    store=None,
-) -> Tuple[Engine, bool]:
-    """Deprecated alias for :func:`load_or_rebuild` (implicit TRT)."""
-    warn_once(
-        "serving.load_or_rebuild_engine",
-        "load_or_rebuild_engine() is deprecated; call "
-        "load_or_rebuild(..., provider=...) instead",
-    )
-    return load_or_rebuild(
-        plan_path,
-        network,
-        device,
-        builder_config=builder_config,
-        injector=injector,
-        store=store,
-    )
 
 
 # ----------------------------------------------------------------------

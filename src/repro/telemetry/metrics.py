@@ -21,6 +21,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.metrics.performance import percentile
+
 #: Summary quantiles rendered in the exposition (p50 / p95 / p99).
 SUMMARY_QUANTILES: Tuple[float, ...] = (0.5, 0.95, 0.99)
 
@@ -114,9 +116,7 @@ class Histogram:
         return float(np.std(self.samples, ddof=1))
 
     def percentile(self, pct: float) -> float:
-        if not self.samples:
-            return 0.0
-        return float(np.percentile(self.samples, pct))
+        return percentile(self.samples, pct)
 
     def quantiles(self) -> Dict[float, float]:
         return {q: self.percentile(100.0 * q) for q in SUMMARY_QUANTILES}

@@ -7,7 +7,7 @@ timelines, nvprof summaries, tegrastats logs, fault tracks — is now a
 surface reports (kernel time, request counts, fault counts) agree by
 construction.
 
-This module holds the sinks without a legacy home:
+This module holds the sinks that live on the bus itself:
 
 * :class:`ChromeTrace` — the Trace Event Format renderer, now with
   request, batch, and fault tracks next to the kernel/memcpy rows;
@@ -67,9 +67,8 @@ class ChromeTrace:
     Successive inference timelines are laid out back-to-back on the
     time axis; faults, requests, and micro-batches land on their own
     tracks so injected faults and queueing decisions line up visually
-    with the kernels they perturbed.  Feeding only timings (via
-    :meth:`add_timing`) reproduces the legacy ``to_chrome_trace``
-    output byte-for-byte.
+    with the kernels they perturbed.  Feed it from a telemetry session
+    or directly with :meth:`add_timing` / :meth:`add_fault_log`.
     """
 
     def __init__(self) -> None:
@@ -79,7 +78,7 @@ class ChromeTrace:
         self._batches: List[dict] = []
 
     # ------------------------------------------------------------------
-    # direct feeding (the non-bus path and the deprecation shims)
+    # direct feeding (the non-bus path)
     # ------------------------------------------------------------------
     def add_timing(self, timing: "InferenceTiming") -> None:
         self._timings.append(timing)

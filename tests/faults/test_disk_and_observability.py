@@ -19,6 +19,7 @@ from repro.faults import (
 )
 from repro.hardware.specs import XAVIER_NX
 from repro.lint import lint_plan
+from repro.telemetry import ChromeTrace
 
 
 @pytest.fixture(scope="module")
@@ -106,8 +107,6 @@ class TestCorruptArtifact:
 
 class TestChromeTraceFaultTrack:
     def test_fault_instants_land_on_their_own_track(self, tmp_path, engine):
-        from repro.profiling.chrome_trace import save_chrome_trace
-
         injector = FaultInjector(
             FaultPlan(
                 scenarios=[FaultScenario(kind=FaultKind.KERNEL_HANG)]
@@ -118,7 +117,10 @@ class TestChromeTraceFaultTrack:
         timing = context.time_inference(jitter=0.0, hardware_hook=injector)
 
         out = tmp_path / "trace.json"
-        save_chrome_trace([timing], out, fault_log=injector.log)
+        trace = ChromeTrace()
+        trace.add_timing(timing)
+        trace.add_fault_log(injector.log)
+        trace.save(out)
         doc = json.loads(out.read_text())
         instants = [
             e for e in doc["traceEvents"] if e.get("cat") == "fault"
@@ -134,12 +136,13 @@ class TestChromeTraceFaultTrack:
         assert thread_names
 
     def test_no_fault_track_without_events(self, tmp_path, engine):
-        from repro.profiling.chrome_trace import save_chrome_trace
-
         context = engine.create_execution_context()
         timing = context.time_inference(jitter=0.0)
         out = tmp_path / "clean.json"
-        save_chrome_trace([timing], out, fault_log=None)
+        trace = ChromeTrace()
+        trace.add_timing(timing)
+        trace.add_fault_log(None)
+        trace.save(out)
         doc = json.loads(out.read_text())
         assert not [
             e for e in doc["traceEvents"] if e.get("cat") == "fault"

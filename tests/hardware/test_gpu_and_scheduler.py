@@ -224,11 +224,12 @@ class TestStreamScheduler:
         """Regression: RAM already held by co-resident engines was
         billed only against the pool budget while the stream budget
         assumed the full usable share."""
-        from repro.hardware.scheduler import USABLE_RAM_FRACTION
+        from repro.hardware.scheduler import usable_ram_mb
 
         sched = StreamScheduler(engine)
         free = sched.max_supported_threads()
-        usable = XAVIER_NX.ram_gb * 1024.0 * USABLE_RAM_FRACTION
+        usable = usable_ram_mb(XAVIER_NX)
+        assert usable == 8 * 1024 * 0.70  # 70% of the NX's 8 GB
         per_stream = sched.per_stream_memory_mb()
         # Residency that leaves room for exactly one stream.
         crowded = StreamScheduler(

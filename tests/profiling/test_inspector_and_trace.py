@@ -2,12 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from repro.engine import BuilderConfig, EngineBuilder
+from repro.engine import BuilderConfig, EngineBuilder, PrecisionMode
 from repro.engine.inspector import inspect_engine, inspect_engine_json
 from repro.hardware.specs import XAVIER_AGX, XAVIER_NX
-from repro.profiling.chrome_trace import save_chrome_trace, to_chrome_trace
+from repro.models import list_models
+from repro.telemetry import ChromeTrace
 
 
 @pytest.fixture(scope="module")
@@ -68,13 +70,61 @@ class TestInspector:
         )
 
 
+def _trace(*timings):
+    trace = ChromeTrace()
+    trace.add_timings(timings)
+    return trace
+
+
+def _int8_auto_engine():
+    from tests.conftest import make_small_cnn
+
+    net = make_small_cnn()
+    spec = next(iter(net.input_specs.values()))
+    calibration = np.random.default_rng(0).normal(
+        size=(4, *spec.shape)
+    ).astype(np.float32)
+    config = BuilderConfig(
+        seed=0,
+        precision=PrecisionMode.INT8,
+        provider="auto",
+        calibration_batch=calibration,
+    )
+    return EngineBuilder(XAVIER_NX, config).build(net)
+
+
+class TestInspectorMatchesTimeline:
+    """Regression: the inspector priced kernels with its own copy of
+    the invocation cost and skipped the multi-kernel work split, so it
+    overstated the noiseless timeline for detection-style bindings."""
+
+    @staticmethod
+    def _assert_matches(engine):
+        timing = engine.create_execution_context().time_inference(
+            jitter=0.0
+        )
+        assert inspect_engine(engine)["predicted_kernel_us"] == round(
+            timing.kernel_us, 3
+        )
+
+    @pytest.mark.parametrize("model", list_models())
+    def test_zoo_model_on_nx(self, farm, model):
+        self._assert_matches(farm.pinned_engine(model, "NX"))
+
+    def test_cuda_provider_engine(self, farm):
+        self._assert_matches(farm.engine("pednet", "NX", provider="cuda"))
+
+    def test_int8_auto_partitioned_engine(self):
+        self._assert_matches(_int8_auto_engine())
+
+
 class TestChromeTrace:
     def _timing(self, engine):
         return engine.create_execution_context().time_inference(jitter=0.0)
 
     def test_single_timing_events(self, engine):
         timing = self._timing(engine)
-        doc = to_chrome_trace(timing)
+        doc = _trace(timing).to_document()
         xs = [e for e in doc["traceEvents"] if e.get("ph") == "X"]
         assert len(xs) == len(timing.kernel_events) + len(
             timing.memcpy_events
@@ -82,7 +132,7 @@ class TestChromeTrace:
         assert doc["otherData"]["device"] == "Xavier NX"
 
     def test_tracks_separated(self, engine):
-        doc = to_chrome_trace(self._timing(engine))
+        doc = _trace(self._timing(engine)).to_document()
         kernel_tids = {
             e["tid"]
             for e in doc["traceEvents"]
@@ -99,7 +149,7 @@ class TestChromeTrace:
     def test_multiple_runs_offset(self, engine):
         a = self._timing(engine)
         b = self._timing(engine)
-        doc = to_chrome_trace([a, b])
+        doc = _trace(a, b).to_document()
         run1 = [
             e
             for e in doc["traceEvents"]
@@ -109,7 +159,7 @@ class TestChromeTrace:
         assert min(e["ts"] for e in run1) >= a.total_us
 
     def test_events_are_chronological_within_run(self, engine):
-        doc = to_chrome_trace(self._timing(engine))
+        doc = _trace(self._timing(engine)).to_document()
         kernel_ts = [
             e["ts"]
             for e in doc["traceEvents"]
@@ -119,6 +169,6 @@ class TestChromeTrace:
 
     def test_save(self, engine, tmp_path):
         path = tmp_path / "trace.json"
-        save_chrome_trace(self._timing(engine), path)
+        _trace(self._timing(engine)).save(path)
         doc = json.loads(path.read_text())
         assert "traceEvents" in doc

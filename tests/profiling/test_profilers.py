@@ -124,3 +124,14 @@ class TestTegrastats:
         stats = Tegrastats()
         assert stats.mean_gpu_util() == 0.0
         assert stats.peak_ram_mb() == 0
+
+
+class TestProfilingNamespace:
+    def test_profiling_namespace(self):
+        from repro.profiling import (  # noqa: F401
+            ChromeTrace,
+            KernelStats,
+            Nvprof,
+            Tegrastats,
+            TegrastatsSample,
+        )

@@ -15,6 +15,7 @@ from repro.analysis.fleet import (
 )
 from repro.engine.store import EngineStore
 from repro.faults import fleet_chaos_plan, fleet_zero_fault_plan
+from repro.metrics.performance import percentile
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +46,8 @@ class TestSpec:
             parse_fleet_spec("4 NX")
         with pytest.raises(ValueError):
             parse_fleet_spec("0xNX")
+        with pytest.raises(ValueError, match="FOO"):
+            parse_fleet_spec("4xFOO")
 
     def test_capacity_counts_every_device(self, farm):
         devices = build_fleet(SPEC, farm=farm)
@@ -170,3 +173,21 @@ class TestReportShape:
         report = run_fleet(devices, traffic, record_outcomes=True)
         assert len(report.outcomes) == report.requests
         assert all("deadline_met" in o for o in report.outcomes)
+
+    def test_latency_quantiles_interpolate(self, farm):
+        """Regression: FleetReport p50/p99 used nearest rank while the
+        supervisor and the metrics exposition interpolate, so two
+        reports of one run could disagree on the same statistic."""
+        devices = build_fleet(SPEC, farm=farm, seed=7, clock_mhz=230.0)
+        traffic = default_traffic(devices, duration_s=0.5, seed=7)
+        report = run_fleet(
+            devices, traffic, plan=fleet_chaos_plan(seed=7),
+            record_outcomes=True,
+        )
+        served = [
+            o["latency_ms"] for o in report.outcomes
+            if o["ok"] and not o["shed"]
+        ]
+        assert len(served) == report.served
+        assert report.p50_latency_ms == percentile(served, 50)
+        assert report.p99_latency_ms == percentile(served, 99)

@@ -7,10 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.engines import device_by_name
-from repro.hardware.scheduler import (
-    USABLE_RAM_FRACTION,
-    StreamScheduler,
-)
+from repro.hardware.scheduler import StreamScheduler, usable_ram_mb
 from repro.serving.colocation import (
     MODE_TIME_SLICE,
     ColocationConfig,
@@ -218,7 +215,7 @@ class TestAdmission:
             engine_hi.size_mb
             + StreamScheduler(engine_hi, NX).per_stream_memory_mb()
         )
-        usable_full = NX.ram_gb * 1024.0 * USABLE_RAM_FRACTION
+        usable_full = usable_ram_mb(NX)
         scheduler = make_scheduler(
             farm,
             [lo, hi],

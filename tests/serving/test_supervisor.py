@@ -18,7 +18,7 @@ from repro.serving import (
     InferenceSupervisor,
     StreamSpec,
     SupervisorConfig,
-    load_or_rebuild_engine,
+    load_or_rebuild,
     run_fault_comparison,
 )
 
@@ -264,9 +264,9 @@ class TestAdmissionControl:
     ):
         """Regression: the engine ladder's resident bytes were billed
         only against the EnginePool budget while admission control
-        divided the full USABLE_RAM_FRACTION share by the per-stream
-        working set — together the two could over-commit board RAM."""
-        from repro.hardware.scheduler import USABLE_RAM_FRACTION
+        divided the full usable-RAM share by the per-stream working
+        set — together the two could over-commit board RAM."""
+        from repro.hardware.scheduler import usable_ram_mb
 
         supervisor = InferenceSupervisor(
             engine,
@@ -280,7 +280,7 @@ class TestAdmissionControl:
             / (1024.0 * 1024.0)
         )
         fit = supervisor._streams_that_fit()
-        usable = XAVIER_NX.ram_gb * 1024.0 * USABLE_RAM_FRACTION
+        usable = usable_ram_mb(XAVIER_NX)
         # Combined commitment — residency plus admitted working sets —
         # stays inside the one usable budget...
         assert resident + fit * supervisor._per_stream_mb <= usable
@@ -357,7 +357,7 @@ class TestLoadOrRebuild:
 
         path = tmp_path / "ok.plan"
         save_plan(engine, path)
-        loaded, rebuilt = load_or_rebuild_engine(
+        loaded, rebuilt = load_or_rebuild(
             path, small_cnn, XAVIER_NX
         )
         assert not rebuilt
@@ -387,7 +387,7 @@ class TestLoadOrRebuild:
         )
         assert injector.corrupt_artifact(plan_path) is not None
 
-        rebuilt_engine, rebuilt = load_or_rebuild_engine(
+        rebuilt_engine, rebuilt = load_or_rebuild(
             plan_path,
             small_cnn,
             XAVIER_NX,
@@ -428,7 +428,7 @@ class TestLoadOrRebuild:
         cache.save(tmp_path / "shipped.plan.timing")  # sidecar
 
         plan_path.write_bytes(b"garbage")  # corruption
-        rebuilt_engine, rebuilt = load_or_rebuild_engine(
+        rebuilt_engine, rebuilt = load_or_rebuild(
             plan_path, small_cnn, XAVIER_NX  # no builder_config
         )
         assert rebuilt
@@ -438,7 +438,7 @@ class TestLoadOrRebuild:
         plan_path = tmp_path / "orphan.plan"
         plan_path.write_bytes(b"garbage")
         with pytest.warns(RuntimeWarning, match="rebuilding .* cold"):
-            engine, rebuilt = load_or_rebuild_engine(
+            engine, rebuilt = load_or_rebuild(
                 plan_path, small_cnn, XAVIER_NX
             )
         assert rebuilt
@@ -457,7 +457,7 @@ class TestLoadOrRebuild:
         )
         plan_path = tmp_path / "served.plan"
         plan_path.write_bytes(b"garbage")
-        engine, rebuilt = load_or_rebuild_engine(
+        engine, rebuilt = load_or_rebuild(
             plan_path,
             small_cnn,
             XAVIER_NX,

@@ -4,16 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro._deprecation import reset_warnings
 from repro.telemetry.bus import BUS
 
 
 @pytest.fixture(autouse=True)
 def quiet_bus():
-    """Reset the process-wide bus and the warn-once registry around
-    each test so telemetry state never leaks between tests."""
+    """Reset the process-wide bus around each test so telemetry state
+    never leaks between tests."""
     BUS.reset()
-    reset_warnings()
     yield
     BUS.reset()
-    reset_warnings()

@@ -1,15 +1,13 @@
-"""Sink behavior: legacy-equivalent ChromeTrace output, double-record
-guards on Nvprof/Tegrastats, JSONL and Prometheus exports."""
+"""Sink behavior: ChromeTrace output, double-record guards on
+Nvprof/Tegrastats, JSONL and Prometheus exports."""
 
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 
 from repro import telemetry
-from repro._deprecation import reset_warnings
 from repro.engine import BuilderConfig, EngineBuilder
 from repro.hardware.specs import XAVIER_NX
 from repro.profiling import Nvprof, Tegrastats
@@ -49,17 +47,6 @@ class TestProfilerProtocol:
 
 
 class TestChromeTraceLegacyEquivalence:
-    def test_shim_output_is_byte_identical(self, timing):
-        from repro.profiling.chrome_trace import to_chrome_trace
-
-        reset_warnings()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = to_chrome_trace([timing, timing])
-        trace = ChromeTrace()
-        trace.add_timings([timing, timing])
-        assert json.dumps(legacy) == json.dumps(trace.to_document())
-
     def test_timing_only_trace_has_no_extra_tracks(self, timing):
         trace = ChromeTrace()
         trace.add_timing(timing)
