@@ -6,21 +6,24 @@ paper studies in its cross-platform cases (an engine file compiled on
 NX copied to and executed on AGX).  The plan records the optimized
 graph, every kernel binding (by catalog name), the per-layer math
 configuration, and the build metadata.
+
+A plan is an NPZ archive with stored (uncompressed) members: the JSON
+document ``__plan__`` and the nested graph archive ``__graph__``.  Zip
+checks every member's CRC-32 on read, so a flipped bit still fails the
+load; plans written with deflated members by older versions load too.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Dict, Tuple, Union
 
 import numpy as np
 
 from repro.graph.ir import Graph
-from repro.graph.serialization import load_graph, save_graph
+from repro.graph.serialization import atomic_write, load_graph, save_graph
 from repro.hardware.specs import XAVIER_AGX, XAVIER_NX
 from repro.runtime.math_config import LayerMath, MathConfig
 
@@ -39,11 +42,9 @@ _DEVICES = {spec.name: spec for spec in (XAVIER_NX, XAVIER_AGX)}
 def save_plan(engine: Engine, path: Union[str, Path]) -> None:
     """Serialize ``engine`` to a directory-free single file.
 
-    Like :meth:`TimingCache.save`, the write is atomic (temp file +
-    :func:`os.replace`): a crashed or concurrent save never leaves a
-    truncated ``.plan`` behind.
+    The write is atomic (:func:`atomic_write`): a crashed or concurrent
+    save never leaves a truncated ``.plan`` behind.
     """
-    path = Path(path)
     graph_buf = io.BytesIO()
     save_graph(engine.graph, graph_buf)
     doc = {
@@ -87,27 +88,14 @@ def save_plan(engine: Engine, path: Union[str, Path]) -> None:
             "assignments": dict(partition.assignments),
             "transfers": [t.to_dict() for t in partition.transfers],
         }
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as f:
-            np.savez_compressed(
-                f,
-                __plan__=np.frombuffer(
-                    json.dumps(doc).encode("utf-8"), dtype=np.uint8
-                ),
-                __graph__=np.frombuffer(
-                    graph_buf.getvalue(), dtype=np.uint8
-                ),
-            )
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    with atomic_write(path) as f:
+        np.savez(
+            f,
+            __plan__=np.frombuffer(
+                json.dumps(doc).encode("utf-8"), dtype=np.uint8
+            ),
+            __graph__=np.frombuffer(graph_buf.getbuffer(), dtype=np.uint8),
+        )
 
 
 def read_plan(path: Union[str, Path]) -> Tuple[Dict, Graph]:

@@ -20,13 +20,14 @@ answer as a subsystem:
   :class:`~repro.hardware.specs.DeviceSpec`, so repeated serving-path
   lookups skip even the deserialization cost.
 
-A store **hit** is lint-gated (:func:`repro.lint.lint_plan`): a
-corrupt or tampered plan is evicted and rebuilt — but the rebuild
-reuses the entry's *sidecar timing cache*, so it binds the same
-tactics the shipped engine had (the Finding-2 mitigation).  Hits
-perform **zero** fresh tactic measurements and report a
-``build_time_us`` that is just the cache-probe epsilon per kernel,
-orders of magnitude below a cold auction.
+A store **hit** is lint-gated (:func:`repro.lint.load_linted_plan`
+reads the plan twice: audit, then load): a corrupt or tampered plan
+is evicted and rebuilt — but the rebuild reuses the entry's *sidecar
+timing cache*, so it binds the same tactics the shipped engine had
+(the Finding-2 mitigation).  Hits perform **zero** fresh tactic
+measurements and report a ``build_time_us`` that is just the
+cache-probe epsilon per kernel, orders of magnitude below a cold
+auction.
 
 Store keys deliberately exclude the build ``seed``: with a warm
 sidecar cache the seed does not influence the auction outcome, so two
@@ -38,9 +39,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import shutil
-import tempfile
 import threading
 import time
 from collections import OrderedDict
@@ -52,13 +51,14 @@ import numpy as np
 
 from repro.engine.builder import BuilderConfig, EngineBuilder
 from repro.engine.engine import Engine
-from repro.engine.plan import load_plan, save_plan
+from repro.engine.plan import save_plan
 from repro.engine.timing_cache import (
     TIMING_CACHE_LOOKUP_US,
     TimingCache,
     TimingCacheError,
 )
 from repro.graph.ir import Graph
+from repro.graph.serialization import atomic_write
 from repro.hardware.specs import DeviceSpec
 from repro.runtime.providers import ProviderSpec, canonical_provider_key
 from repro.telemetry.bus import BUS, SpanKind
@@ -346,19 +346,8 @@ class StoreEntry:
 
 
 def _write_json_atomic(path: Path, doc: Dict[str, Any]) -> None:
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(json.dumps(doc, indent=1, sort_keys=True))
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    with atomic_write(path, "w") as f:
+        f.write(json.dumps(doc, indent=1, sort_keys=True))
 
 
 class EngineStore:
@@ -458,19 +447,17 @@ class EngineStore:
         kernel binding) — obtaining an engine from the store never
         pays the cold tactic auction.
         """
-        from repro.lint import lint_plan
+        from repro.lint import load_linted_plan
 
         if not self.meta_path(digest).exists():
             return None
-        plan = self.plan_path(digest)
-        report = lint_plan(plan)
-        if not report.ok:
+        engine, _ = load_linted_plan(self.plan_path(digest))
+        if engine is None:
             # Corrupt/tampered artifact: purge the plan but *keep* the
             # sidecar timing cache so the rebuild binds the same
             # tactics (Finding-2 mitigation).
             self.evict(digest, keep_cache=True)
             return None
-        engine = load_plan(plan)
         engine.build_time_us = TIMING_CACHE_LOOKUP_US * max(
             1, engine.num_kernels
         )

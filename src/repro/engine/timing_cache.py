@@ -15,13 +15,12 @@ the implementation enforces.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
+from repro.graph.serialization import atomic_write
 from repro.hardware.specs import DeviceSpec
 from repro.hardware.workload import LayerWorkload
 
@@ -100,14 +99,11 @@ class TimingCache:
     def save(self, path: Union[str, Path]) -> None:
         """Write the cache to a JSON file (shippable artifact).
 
-        The write is **atomic**: the document lands in a temp file in
-        the destination directory and is :func:`os.replace`-d into
-        place.  A crash mid-save, or two builds sharing one
-        ``timing_cache_path``, can therefore never leave a truncated or
-        interleaved file — readers always see a complete generation
-        (the previous one, until the rename commits the new one).
+        The write is **atomic** (:func:`atomic_write`): a crash
+        mid-save, or two builds sharing one ``timing_cache_path``, can
+        never leave a truncated or interleaved file — readers always
+        see a complete generation.
         """
-        path = Path(path)
         doc = {
             "device": self.device_name,
             "entries": [
@@ -115,19 +111,8 @@ class TimingCache:
                 for key, value in sorted(self.entries.items())
             ],
         }
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as f:
-                f.write(json.dumps(doc, indent=1))
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        with atomic_write(path, "w") as f:
+            f.write(json.dumps(doc, indent=1))
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "TimingCache":

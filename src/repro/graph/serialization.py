@@ -4,20 +4,52 @@ The on-disk format keeps the topology as a JSON document stored inside
 the same NPZ archive as the weights, so a saved model is a single file.
 This mirrors how real engines serialize plans (one opaque blob) while
 staying debuggable (the JSON half is human-readable).
+
+Members are stored, not deflated: random float weights shrink only to
+~93%, not worth the host time.  Zip still checks each member's CRC-32
+on read, and older deflated archives load just the same.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import os
+import tempfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Union
+from typing import IO, Dict, Iterator, Union
 
 import numpy as np
 
 from repro.graph.ir import DataType, Graph, Layer, LayerKind, TensorSpec
 
 _FORMAT_VERSION = 1
+
+
+@contextmanager
+def atomic_write(path: Union[str, Path], mode: str = "wb") -> Iterator[IO]:
+    """Open a temp file beside ``path`` and publish it with
+    :func:`os.replace` when the block exits cleanly.
+
+    On any exception the temp file is deleted, so a crashed or
+    concurrent writer never leaves a truncated ``path`` or a stray
+    temp file behind; readers always see a complete generation.
+    """
+    path = Path(path)
+    fd, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, mode) as f:
+            yield f
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
 
 
 def _graph_to_doc(graph: Graph) -> Dict:
@@ -57,10 +89,10 @@ def save_graph(graph: Graph, path: Union[str, Path, io.IOBase]) -> None:
         for key, value in layer.weights.items():
             arrays[f"w::{layer.name}::{key}"] = value
     if hasattr(path, "write"):
-        np.savez_compressed(path, **arrays)
+        np.savez(path, **arrays)
     else:
         with open(path, "wb") as f:
-            np.savez_compressed(f, **arrays)
+            np.savez(f, **arrays)
 
 
 def load_graph(path: Union[str, Path, io.IOBase]) -> Graph:
@@ -102,18 +134,3 @@ def load_graph(path: Union[str, Path, io.IOBase]) -> Graph:
     graph.validate(allow_dead=True)
     return graph
 
-
-def roundtrip_bytes(graph: Graph) -> bytes:
-    """Serialize to an in-memory buffer; used for size accounting."""
-    buf = io.BytesIO()
-    doc = _graph_to_doc(graph)
-    arrays: Dict[str, np.ndarray] = {
-        "__topology__": np.frombuffer(
-            json.dumps(doc).encode("utf-8"), dtype=np.uint8
-        )
-    }
-    for layer in graph.layers:
-        for key, value in layer.weights.items():
-            arrays[f"w::{layer.name}::{key}"] = value
-    np.savez_compressed(buf, **arrays)
-    return buf.getvalue()

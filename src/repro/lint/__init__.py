@@ -9,7 +9,8 @@ rule-based static analyzer:
   fusion rules over a graph IR (families ``G``, ``Q``, ``F``);
 * :func:`lint_engine` — those plus binding and size-accounting rules
   over a built engine (family ``P``);
-* :func:`lint_plan` — two-stage audit of a serialized ``.plan`` file;
+* :func:`lint_plan` — two-stage audit of a serialized ``.plan`` file
+  (:func:`load_linted_plan` also returns the engine it loaded);
 * :class:`PassInvariantGuard` — snapshot/lint invariant checking
   around optimizer passes (family ``V``), raising
   :class:`PassInvariantViolation` when a pass miscompiles;
@@ -65,6 +66,7 @@ from repro.lint.plan_rules import (
     PLAN_DOC_RULES,
     lint_engine,
     lint_plan,
+    load_linted_plan,
 )
 from repro.lint.races import RACE_RULES, SourceModel, lint_races
 
@@ -140,6 +142,7 @@ __all__ = [
     "lint_graph",
     "lint_engine",
     "lint_plan",
+    "load_linted_plan",
     "lint_flow",
     "lint_races",
     "run_rules",

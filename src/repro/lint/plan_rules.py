@@ -10,11 +10,12 @@ Two registries live here:
   deserialization is trusted (metadata sanity, kernel names resolvable
   in the tactic table).
 
-:func:`lint_plan` runs them in two stages: the document and the
-embedded graph are checked first, and only a clean plan is fully
+:func:`load_linted_plan` runs them in two stages: the document and
+the embedded graph are checked first, and only a clean plan is fully
 deserialized (:func:`repro.engine.plan.load_plan`) and re-audited as an
-engine.  A corrupt file therefore produces diagnostics, never a raw
-``KeyError`` out of numpy.
+engine, which it returns; :func:`lint_plan` keeps only the report.  A
+corrupt file therefore produces diagnostics, never a raw ``KeyError``
+out of numpy.
 
 Import-cycle note: ``repro.engine.builder`` imports the pass-invariant
 guard from this package, so nothing here may import ``engine.builder``
@@ -25,7 +26,7 @@ lazily inside the rule bodies.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.engine.engine import Engine
 from repro.engine.kernels import DEFAULT_CATALOG
@@ -406,16 +407,18 @@ def lint_engine(
     return report
 
 
-def lint_plan(
+def load_linted_plan(
     path: Union[str, Path],
     select=None,
     ignore=None,
-) -> LintReport:
-    """Audit a serialized ``.plan`` file.
+) -> Tuple[Optional[Engine], LintReport]:
+    """Audit a serialized ``.plan`` file and return its engine.
 
     Stage 1 checks the raw document and the embedded graph without
     trusting the loader; stage 2 (only when stage 1 is clean) fully
-    deserializes the plan and audits the resulting engine.
+    deserializes the plan and audits the resulting engine.  The engine
+    is that stage-2 deserialization — callers need not load the plan
+    again — and is None unless the report is clean.
     """
     from repro.engine.plan import load_plan, read_plan
 
@@ -424,16 +427,10 @@ def lint_plan(
     try:
         doc, graph = read_plan(path)
     except Exception as exc:  # corrupt archive: diagnose, don't crash
-        rule = PLAN_DOC_RULES["P006"]
         report.diagnostics.append(
-            Diagnostic(
-                rule_id=rule.rule_id,
-                rule_name=rule.name,
-                severity=rule.severity,
-                message=f"plan file is unreadable: {exc}",
-            )
+            _plan_diagnostic(f"plan file is unreadable: {exc}")
         )
-        return report
+        return None, report
 
     report.extend(
         run_rules(
@@ -445,24 +442,19 @@ def lint_plan(
         )
     )
     report.extend(lint_graph(graph, select=select, ignore=ignore))
+    del doc, graph  # the audited copy: free its weights before stage 2
     if not report.ok:
-        return report  # do not deserialize a plan that fails stage 1
+        return None, report  # do not deserialize a plan failing stage 1
 
     try:
         engine = load_plan(path)
     except Exception as exc:
         # Reachable when stage-1 rules were pruned via select/ignore:
         # deserialization hits what the doc rules would have flagged.
-        rule = PLAN_DOC_RULES["P006"]
         report.diagnostics.append(
-            Diagnostic(
-                rule_id=rule.rule_id,
-                rule_name=rule.name,
-                severity=rule.severity,
-                message=f"plan deserialization failed: {exc}",
-            )
+            _plan_diagnostic(f"plan deserialization failed: {exc}")
         )
-        return report
+        return None, report
     report.extend(
         run_rules(
             ENGINE_RULES,
@@ -472,7 +464,26 @@ def lint_plan(
             ignore=ignore,
         )
     )
-    return report
+    return (engine if report.ok else None), report
+
+
+def lint_plan(
+    path: Union[str, Path],
+    select=None,
+    ignore=None,
+) -> LintReport:
+    """Audit a serialized ``.plan`` file (see :func:`load_linted_plan`)."""
+    return load_linted_plan(path, select=select, ignore=ignore)[1]
+
+
+def _plan_diagnostic(message: str) -> Diagnostic:
+    rule = PLAN_DOC_RULES["P006"]
+    return Diagnostic(
+        rule_id=rule.rule_id,
+        rule_name=rule.name,
+        severity=rule.severity,
+        message=message,
+    )
 
 
 __all__ = [
@@ -480,4 +491,5 @@ __all__ = [
     "PLAN_DOC_RULES",
     "lint_engine",
     "lint_plan",
+    "load_linted_plan",
 ]

@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional
 from repro.data.synthetic import SyntheticImageNet
 from repro.data.traffic import TrafficSceneDataset
 from repro.graph.ir import Graph
-from repro.graph.serialization import load_graph, save_graph
+from repro.graph.serialization import atomic_write, load_graph, save_graph
 
 from repro.models import caffe_zoo, darknet_zoo, tf_zoo, torch_zoo
 from repro.models.training import fit_detection_head, pretrain_classifier
@@ -176,9 +176,8 @@ def build_model(
             )
     if cache:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
-        # Atomic publish: concurrent harness processes may warm the
-        # same entry; a rename never exposes a half-written file.
-        tmp_path = cache_path.with_suffix(f".tmp{os.getpid()}")
-        save_graph(graph, tmp_path)
-        os.replace(tmp_path, cache_path)
+        # Atomic publish: concurrent harness processes and threads may
+        # warm the same entry; a rename never exposes a half-written file.
+        with atomic_write(cache_path) as f:
+            save_graph(graph, f)
     return graph

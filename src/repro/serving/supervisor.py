@@ -933,12 +933,12 @@ def load_or_rebuild(
     """Load a ``.plan`` that passes its integrity audit, else rebuild.
 
     Returns ``(engine, rebuilt)``.  The audit is the full
-    :func:`repro.lint.lint_plan` pass; any error-level diagnostic (a
-    corrupt archive, a tampered document, a broken embedded graph)
-    triggers a rebuild from ``network`` using ``builder_config`` —
-    which should carry a ``timing_cache``/``timing_cache_path`` so the
-    rebuild reproduces the shipped engine's tactic bindings
-    (Finding 2 mitigation).
+    :func:`repro.lint.load_linted_plan` pass, which also yields the
+    loaded engine; any error-level diagnostic (a corrupt archive, a
+    tampered document, a broken embedded graph) triggers a rebuild
+    from ``network`` using ``builder_config`` — which should carry a
+    ``timing_cache``/``timing_cache_path`` so the rebuild reproduces
+    the shipped engine's tactic bindings (Finding 2 mitigation).
 
     When ``builder_config`` is None the rebuild does **not** run a
     fresh cold auction with arbitrary tactics: it first routes through
@@ -956,12 +956,11 @@ def load_or_rebuild(
     import warnings
 
     from repro.engine.builder import BuilderConfig, EngineBuilder
-    from repro.engine.plan import load_plan
-    from repro.lint import lint_plan
+    from repro.lint import load_linted_plan
 
-    report = lint_plan(plan_path)
-    if report.ok:
-        return load_plan(plan_path), False
+    engine, report = load_linted_plan(plan_path)
+    if engine is not None:
+        return engine, False
     if injector is not None:
         first = report.errors[0] if report.errors else None
         injector.emit(

@@ -1,11 +1,15 @@
 """Tests for engine plan serialization (repro.engine.plan)."""
 
+import io
+import zipfile
+
 import numpy as np
 import pytest
 
 from repro.engine import BuilderConfig, EngineBuilder
-from repro.engine.plan import load_plan, save_plan
+from repro.engine.plan import load_plan, read_plan, save_plan
 from repro.hardware.specs import XAVIER_AGX, XAVIER_NX
+from repro.lint import lint_plan
 
 
 @pytest.fixture()
@@ -77,6 +81,103 @@ class TestPlanRoundtrip:
             )
         with pytest.raises(Exception):
             load_plan(path)
+
+
+def _bindings(engine):
+    return [
+        (b.layer_name, [k.name for k in b.kernels], b.provider)
+        for b in engine.bindings
+    ]
+
+
+def _weights(graph):
+    return {
+        (layer.name, key): value
+        for layer in graph.layers
+        for key, value in layer.weights.items()
+    }
+
+
+class TestPlanFormat:
+    def test_members_are_stored_at_both_levels(self, engine, tmp_path):
+        path = tmp_path / "e.plan"
+        save_plan(engine, path)
+        with zipfile.ZipFile(path) as outer:
+            assert {i.compress_type for i in outer.infolist()} == {
+                zipfile.ZIP_STORED
+            }
+        with np.load(path) as archive:
+            inner = bytes(archive["__graph__"])
+        with zipfile.ZipFile(io.BytesIO(inner)) as nested:
+            members = nested.infolist()
+            assert len(members) > 1
+            assert {i.compress_type for i in members} == {
+                zipfile.ZIP_STORED
+            }
+
+    def test_deflated_plan_still_loads(self, engine, tmp_path):
+        """A plan written the old way (both archive levels deflated)
+        loads to the same bindings and passes the audit."""
+        import json
+
+        stored = tmp_path / "stored.plan"
+        save_plan(engine, stored)
+        doc, _ = read_plan(stored)
+        with np.load(stored) as archive:
+            inner = bytes(archive["__graph__"])
+        with np.load(io.BytesIO(inner)) as graph_archive:
+            arrays = {key: graph_archive[key] for key in graph_archive}
+        graph_buf = io.BytesIO()
+        np.savez_compressed(graph_buf, **arrays)
+        old = tmp_path / "deflated.plan"
+        with open(old, "wb") as f:
+            np.savez_compressed(
+                f,
+                __plan__=np.frombuffer(
+                    json.dumps(doc).encode(), dtype=np.uint8
+                ),
+                __graph__=np.frombuffer(
+                    graph_buf.getvalue(), dtype=np.uint8
+                ),
+            )
+        with zipfile.ZipFile(old) as outer:
+            assert {i.compress_type for i in outer.infolist()} == {
+                zipfile.ZIP_DEFLATED
+            }
+        assert _bindings(load_plan(old)) == _bindings(engine)
+        assert lint_plan(old).ok
+
+    def test_single_bit_flips_never_pass_as_a_different_plan(
+        self, engine, tmp_path
+    ):
+        """Every flipped bit yields typed diagnostics (never a raw
+        exception).  A flip the audit accepts landed in zip header
+        fields the reader ignores, and the plan loads unchanged."""
+        path = tmp_path / "e.plan"
+        save_plan(engine, path)
+        blob = path.read_bytes()
+        doc, graph = read_plan(path)
+        weights = _weights(graph)
+        flipped = tmp_path / "flipped.plan"
+        rng = np.random.default_rng(13)
+        rejected = 0
+        for _ in range(300):
+            corrupt = bytearray(blob)
+            corrupt[int(rng.integers(len(blob)))] ^= 1 << int(
+                rng.integers(8)
+            )
+            flipped.write_bytes(bytes(corrupt))
+            if not lint_plan(flipped).ok:
+                rejected += 1
+                continue
+            doc2, graph2 = read_plan(flipped)
+            assert doc2 == doc
+            weights2 = _weights(graph2)
+            assert weights2.keys() == weights.keys()
+            for key, value in weights.items():
+                np.testing.assert_array_equal(weights2[key], value)
+        # Ignored header fields are under 1% of a plan's bits.
+        assert rejected >= 290
 
 
 class TestDetectionModelPlan:

@@ -144,6 +144,24 @@ class TestWarmPath:
         stored = load_plan(store.plan_path(r1.key))
         assert warm.kernel_names() == stored.kernel_names()
 
+    def test_hit_reads_the_plan_twice(self, store, small_cnn, monkeypatch):
+        """A disk hit reads the plan once to audit it and once to load
+        it; the audited engine is the one returned."""
+        import repro.engine.plan as plan_module
+
+        store.get_or_build(small_cnn, XAVIER_NX)
+        real_read = plan_module.read_plan
+        reads = []
+
+        def spy(path):
+            reads.append(path)
+            return real_read(path)
+
+        monkeypatch.setattr(plan_module, "read_plan", spy)
+        _, result = store.get_or_build(small_cnn, XAVIER_NX)
+        assert result.outcome == "hit"
+        assert len(reads) == 2
+
 
 # ----------------------------------------------------------------------
 # corruption, eviction, rebuild

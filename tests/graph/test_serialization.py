@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from repro.graph.serialization import load_graph, roundtrip_bytes, save_graph
+from repro.graph.serialization import load_graph, save_graph
 from repro.runtime.executor import GraphExecutor
 
 
@@ -53,8 +53,9 @@ class TestRoundtrip:
         assert len(loaded) == len(small_cnn)
 
     def test_roundtrip_bytes_nonempty(self, small_cnn):
-        blob = roundtrip_bytes(small_cnn)
-        assert len(blob) > 1000
+        buf = io.BytesIO()
+        save_graph(small_cnn, buf)
+        assert len(buf.getvalue()) > 1000
 
     def test_bad_version_rejected(self, small_cnn, tmp_path):
         import json

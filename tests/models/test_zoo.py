@@ -135,6 +135,29 @@ class TestPretraining:
         b = build_model("mtcnn", pretrained=False)
         assert [l.name for l in a.layers] == [l.name for l in b.layers]
 
+    def test_failed_cache_write_leaves_no_temp_file(
+        self, tmp_path, monkeypatch
+    ):
+        """Regression: the cache was written to ``<name>.tmp<pid>`` and
+        renamed by hand, so a ``save_graph`` that raised part-way left
+        that torso behind in the zoo cache."""
+        import repro.models.registry as registry
+
+        def save_then_fail(graph, target):
+            if hasattr(target, "write"):
+                target.write(b"PK\x03\x04 partial archive")
+            else:
+                with open(target, "wb") as f:
+                    f.write(b"PK\x03\x04 partial archive")
+            raise OSError("disk full")
+
+        monkeypatch.setenv("REPRO_ZOO_CACHE", str(tmp_path))
+        monkeypatch.setattr(registry, "save_graph", save_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            build_model("mtcnn", pretrained=False)
+        assert list(tmp_path.glob("*.tmp*")) == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_detection_probe_fits_heads(self):
         graph = build_model("pednet", pretrained=True)
         conf = graph.layer("coverage_head")

@@ -363,6 +363,24 @@ class TestLoadOrRebuild:
         assert not rebuilt
         assert loaded.kernel_names() == engine.kernel_names()
 
+    def test_intact_plan_returns_the_loaded_engine(
+        self, engine, small_cnn, tmp_path
+    ):
+        from repro.engine.plan import load_plan, save_plan
+
+        path = tmp_path / "ok.plan"
+        save_plan(engine, path)
+        loaded, rebuilt = load_or_rebuild(path, small_cnn, XAVIER_NX)
+        reference = load_plan(path)
+        assert not rebuilt
+        assert [
+            (b.layer_name, [k.name for k in b.kernels], b.provider)
+            for b in loaded.bindings
+        ] == [
+            (b.layer_name, [k.name for k in b.kernels], b.provider)
+            for b in reference.bindings
+        ]
+
     def test_corrupt_plan_triggers_rebuild_with_same_tactics(
         self, engine, small_cnn, tmp_path
     ):
