@@ -10,6 +10,7 @@ exactly like rebuilding on a real board at different moments).
 
 from __future__ import annotations
 
+import zlib
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -70,11 +71,13 @@ class EngineFarm:
 
     def _slot_seed(self, model_name: str, device_name: str, slot: int) -> int:
         # Stable, distinct seed per slot: the harness regenerates the
-        # same 'engine 1/2/3' every run, like loading saved plans.
+        # same 'engine 1/2/3' in every process, like loading saved
+        # plans.  CRC-32 of the names, not ``hash()``, which the
+        # interpreter salts per process (PYTHONHASHSEED).
         return int(
             np.random.SeedSequence(
-                [self.base_seed, hash(model_name) & 0xFFFF,
-                 hash(device_name) & 0xFFFF, slot]
+                [self.base_seed, zlib.crc32(model_name.encode("utf-8")),
+                 zlib.crc32(device_name.encode("utf-8")), slot]
             ).generate_state(1)[0]
             % (2 ** 31)
         )
@@ -115,15 +118,14 @@ class EngineFarm:
         return self._engines[key]
 
     def pinned_engine(self, model_name: str, device_name: str) -> Engine:
-        """One engine per (model, device), identical across processes.
+        """One engine per (model, device), built with ``seed=base_seed``.
 
-        ``engine()``'s slot seeds mix ``hash(model_name)``, which the
-        interpreter salts per process (PYTHONHASHSEED) — good for the
-        build-consistency studies that want build-to-build diversity,
-        wrong for artifacts that must be byte-identical across separate
-        invocations (fleet reports, interference matrices).  This path
-        pins ``seed=base_seed`` and the default TRT provider so the
-        same farm settings always reproduce the same engine.
+        ``engine()`` gives every slot its own seed, for the
+        build-consistency studies that want build-to-build diversity.
+        This path pins ``seed=base_seed`` and the default TRT provider,
+        so every model and device of a farm shares one build seed; the
+        fleet reports and interference matrices are defined on these
+        engines.
         """
         key = (model_name, device_name, -1, "trt")
         if key not in self._engines:

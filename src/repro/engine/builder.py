@@ -2,8 +2,10 @@
 
 ``EngineBuilder.build`` consumes a frontend graph and produces an
 :class:`~repro.engine.engine.Engine` — an optimized graph whose every
-layer is bound to a concrete kernel tactic, with the engine-file size
-accounted the way a serialized plan would be.
+layer is bound to a concrete kernel, with the engine-file size
+accounted the way a serialized plan would be.  Execution providers
+other than TRT go through the same pipeline with fusion off and a
+placement step before kernel mapping (:mod:`repro.graph.partition`).
 
 Builds are **non-deterministic by default** (``seed=None`` draws fresh
 entropy), because tactic auctions are timing-based; pass an explicit
@@ -17,7 +19,7 @@ import enum
 import math
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +30,10 @@ from repro.hardware.workload import LayerWorkload, layer_workload
 from repro.runtime.math_config import LayerMath, MathConfig
 from repro.runtime.providers import (
     TRT_PROVIDER,
+    ExecutionProvider,
     ProviderSpec,
+    TransferSpec,
+    canonical_provider_key,
     resolve_providers,
 )
 
@@ -38,7 +43,6 @@ from repro.engine.passes import (
     CalibrationCache,
     PassReport,
     calibrate_int8,
-    find_mergeable_groups,
     fuse_vertically,
     merge_horizontally,
     plan_quantization,
@@ -111,10 +115,10 @@ class BuilderConfig:
     #: axis (case-insensitive name, :class:`~repro.runtime.providers
     #: .ExecutionProvider` instance, or a priority-ordered list /
     #: comma string such as ``"cuda,trt"`` for partitioned builds).
-    #: ``"trt"`` (the default) takes the classic fused/tactic-selected
-    #: pipeline, byte-identical to builds before this axis existed;
-    #: anything else routes through
-    #: :func:`repro.graph.partition.build_partitioned_engine`.
+    #: Every provider tuple runs the same pipeline: ``"trt"`` (the
+    #: default) fuses and auctions every layer into a plain
+    #: :class:`Engine`; any other tuple skips fusion, places each layer
+    #: on a provider and yields a ``PartitionedEngine``.
     provider: ProviderSpec = "trt"
 
 
@@ -162,6 +166,39 @@ def _stored_weight_bytes(layer: Layer, kernel: KernelSpec) -> int:
     return total
 
 
+def weight_chunks(
+    graph: Graph, bindings: Sequence[LayerBinding]
+) -> List[int]:
+    """Per-layer stored weight bytes, one HtoD chunk per weighted layer.
+
+    A layer bound to a single kernel stores its weights in that
+    kernel's layout; a fixed multi-kernel sequence (detection) or a
+    missing binding keeps the layer's own precision.  Lint ``P003``
+    re-derives a plan's chunks with this same function.
+    """
+    by_name = {b.layer_name: b for b in bindings if b.transfer is None}
+    chunks: List[int] = []
+    for layer in graph.layers:
+        if not layer.weights:
+            continue
+        binding = by_name.get(layer.name)
+        if binding is not None and len(binding.kernels) == 1:
+            chunks.append(_stored_weight_bytes(layer, binding.kernels[0]))
+        else:
+            chunks.append(layer.weight_bytes())
+    return chunks
+
+
+def plan_size_bytes(chunks: Sequence[int], num_bindings: int) -> int:
+    """Modeled plan size: weight chunks plus the fixed header and the
+    per-binding kernel metadata (lint ``P002`` checks it)."""
+    return (
+        sum(chunks)
+        + PLAN_FIXED_OVERHEAD_BYTES
+        + PLAN_PER_BINDING_BYTES * num_bindings
+    )
+
+
 class EngineBuilder:
     """Builds engines for one target device."""
 
@@ -179,23 +216,43 @@ class EngineBuilder:
     def build(
         self, network: Graph, provider: Optional[ProviderSpec] = None
     ) -> Engine:
-        """Run the five-step pipeline and return a compiled engine.
+        """Run the Figure 2 pipeline and return a compiled engine.
 
         ``provider`` overrides ``config.provider`` for this build.  The
-        default TRT provider runs the classic fused/tactic-auctioned
-        pipeline below; any other provider (or priority list) builds a
-        per-op :class:`~repro.graph.partition.PartitionedEngine`.
+        default TRT provider yields a fused, tactic-auctioned
+        :class:`Engine`; any other provider (or priority list) yields a
+        per-op :class:`~repro.graph.partition.PartitionedEngine` through
+        :func:`~repro.graph.partition.build_partitioned_engine`.
         """
-        cfg = self.config
         providers = resolve_providers(
-            provider if provider is not None else cfg.provider
+            provider if provider is not None else self.config.provider
         )
-        if providers != (TRT_PROVIDER,):
+        if canonical_provider_key(providers) != TRT_PROVIDER.name:
             from repro.graph.partition import build_partitioned_engine
 
             return build_partitioned_engine(
-                network, self.device, providers, cfg, self.catalog
+                network, self.device, providers, self.config, self.catalog
             )
+        return self._build(network, providers)
+
+    def _build(
+        self, network: Graph, providers: Tuple[ExecutionProvider, ...]
+    ) -> Engine:
+        """The one build pipeline, for any resolved provider tuple.
+
+        Vertical fusion and horizontal merging run only for the plain
+        TRT tuple; fused super-layers cannot straddle a provider
+        boundary.  Any other tuple adds a placement step
+        (:func:`~repro.graph.partition.partition_graph`) before kernel
+        mapping: tactic-search providers run the auction, the others
+        bind their fixed per-category kernel at zero auction cost.
+        """
+        from repro.graph import partition
+
+        cfg = self.config
+        # Keyed by name, like the store fingerprint: a TrtProvider
+        # instance builds the same engine as "trt".
+        fused = canonical_provider_key(providers) == TRT_PROVIDER.name
         seed = cfg.seed if cfg.seed is not None else _next_build_seed()
         rng = np.random.default_rng(seed)
         timing_cache = cfg.timing_cache
@@ -240,16 +297,18 @@ class EngineBuilder:
                 )
             return report
 
-        # Steps 1-2: dead-layer removal, vertical fusion.
+        # Steps 1-3: dead-layer removal, vertical fusion, and horizontal
+        # merging decided by noisy timing.
         reports.append(run_pass(remove_dead_layers))
-        reports.append(run_pass(fuse_vertically))
-
-        # Step 3: horizontal merging, decided by noisy timing.
-        if cfg.enable_horizontal_merge:
-            decider = self._make_merge_decider(selector, act_dtype, allowed)
-            reports.append(
-                run_pass(lambda g: merge_horizontally(g, decide=decider))
-            )
+        if fused:
+            reports.append(run_pass(fuse_vertically))
+            if cfg.enable_horizontal_merge:
+                decider = self._make_merge_decider(
+                    selector, act_dtype, allowed
+                )
+                reports.append(
+                    run_pass(lambda g: merge_horizontally(g, decide=decider))
+                )
 
         # Step 4: quantization planning (+ calibration when supplied).
         calibration: Optional[CalibrationCache] = None
@@ -259,75 +318,123 @@ class EngineBuilder:
             )
         quant = plan_quantization(graph, allowed, calibration)
 
-        # Step 5: tactic selection / kernel mapping.
+        # Placement: every layer on the single TRT provider, or on the
+        # first provider of the tuple that supports it, with a transfer
+        # binding before each consumer of a cross-provider edge.
         shapes = infer_shapes(graph)
+        plan = None
+        placement: List[Tuple[Layer, ExecutionProvider]]
+        pending: Dict[str, List[TransferSpec]] = {}
+        if fused:
+            placement = [(layer, providers[0]) for layer in graph.toposort()]
+        else:
+            plan = partition.partition_graph(
+                graph,
+                providers,
+                {l.name: quant.precisions_for(l) for l in graph.layers},
+                {
+                    l.name: layer_workload(l, shapes, act_dtype).category
+                    for l in graph.layers
+                },
+                shapes,
+                act_dtype,
+            )
+            by_name = {p.name: p for p in providers}
+            # partition_graph placed the layers in topological order.
+            placement = [
+                (graph.layer(name), by_name[provider_name])
+                for name, provider_name in plan.assignments.items()
+            ]
+            for spec in plan.transfers:
+                pending.setdefault(spec.dst_layer, []).append(spec)
+
+        # Step 5: tactic selection / kernel mapping.
         bindings: List[LayerBinding] = []
         math_config = MathConfig(default=LayerMath())
         build_time_us = 0.0
-        for layer in graph.toposort():
+        for layer, provider in placement:
+            for spec in pending.get(layer.name, ()):
+                bindings.append(partition.transfer_binding(spec))
             workload = layer_workload(layer, shapes, act_dtype)
             if workload.category == "detection":
-                kernels = self.catalog.detection_sequence()
                 bindings.append(
                     LayerBinding(
                         layer_name=layer.name,
-                        kernels=list(kernels),
+                        kernels=(
+                            self.catalog.detection_sequence()
+                            if provider.tactic_search
+                            else provider.kernel_sequence_for("detection")
+                        ),
                         workload=workload,
                         tactic=None,
+                        provider=provider.name,
                     )
                 )
                 continue
             menu = quant.precisions_for(layer)
-            tactic = selector.choose(layer.name, workload, menu, self.catalog)
-            # Only *fresh* measurement runs charge auction time; a
-            # timing-cache hit costs the hash-probe epsilon.  This is
-            # the contract timing_cache.py documents (warm rebuilds are
-            # much faster) — previously every candidate was charged
-            # full measurement time even when it never ran.
-            cached = tactic.candidates_timed - tactic.candidates_measured
-            build_time_us += (
-                tactic.measured_us * tactic.candidates_measured
-                + TIMING_CACHE_LOOKUP_US * cached
-            )
-            layer.precision = tactic.kernel.precision
-            math_config.per_layer[layer.name] = self._layer_math(
-                layer, tactic, calibration
-            )
+            if provider.tactic_search:
+                tactic: Optional[TacticChoice] = selector.choose(
+                    layer.name, workload, menu, self.catalog
+                )
+                # Only *fresh* measurement runs charge auction time; a
+                # timing-cache hit costs the hash-probe epsilon
+                # (timing_cache.py: warm rebuilds are much faster).
+                cached = tactic.candidates_timed - tactic.candidates_measured
+                build_time_us += (
+                    tactic.measured_us * tactic.candidates_measured
+                    + TIMING_CACHE_LOOKUP_US * cached
+                )
+                kernel = tactic.kernel
+                layer_math = self._layer_math(layer, tactic, calibration)
+            else:
+                # Providers without auctions bind a fixed kernel for the
+                # layer's best non-INT8 precision.
+                tactic = None
+                kernel = provider.kernel_for(
+                    workload.category,
+                    next(p for p in menu if p is not DataType.INT8),
+                )
+                layer_math = LayerMath(
+                    precision=kernel.precision, split_k=kernel.split_k
+                )
+            layer.precision = kernel.precision
+            math_config.per_layer[layer.name] = layer_math
             # Re-price the workload now that the layer's stored
             # precision is known (weight traffic shrinks under FP16/
             # INT8); keeps runtime costs consistent with reloaded plans.
-            workload = layer_workload(layer, shapes, act_dtype)
             bindings.append(
                 LayerBinding(
                     layer_name=layer.name,
-                    kernels=[tactic.kernel],
-                    workload=workload,
+                    kernels=[kernel],
+                    workload=layer_workload(layer, shapes, act_dtype),
                     tactic=tactic,
+                    provider=provider.name,
                 )
             )
 
-        weight_chunks = self._weight_chunks(graph, bindings)
-        size_bytes = (
-            sum(weight_chunks)
-            + PLAN_FIXED_OVERHEAD_BYTES
-            + PLAN_PER_BINDING_BYTES * len(bindings)
-        )
-
-        engine = Engine(
-            name=f"{network.name}@{self.device.name}#seed{seed}",
+        chunks = weight_chunks(graph, bindings)
+        fields: Dict[str, Any] = dict(
             source_network=network.name,
             device=self.device,
             graph=graph,
             bindings=bindings,
             math_config=math_config,
-            size_bytes=size_bytes,
-            weight_chunks=weight_chunks,
+            size_bytes=plan_size_bytes(chunks, len(bindings)),
+            weight_chunks=chunks,
             input_name=cfg.input_name,
             build_seed=seed,
             precision_mode=cfg.precision,
             pass_reports=reports,
             build_time_us=build_time_us,
         )
+        suffix = "" if fused else "+" + canonical_provider_key(providers)
+        name = f"{network.name}@{self.device.name}{suffix}#seed{seed}"
+        if fused:
+            engine = Engine(name=name, **fields)
+        else:
+            engine = partition.PartitionedEngine(
+                name=name, partition=plan, **fields
+            )
         if cfg.analyze_dataflow:
             self._analyze(engine)
         return engine
@@ -397,22 +504,3 @@ class EngineBuilder:
                 int8_scale_w=calibration.weight_scales[layer.name],
             )
         return LayerMath(precision=kernel.precision, split_k=kernel.split_k)
-
-    @staticmethod
-    def _weight_chunks(
-        graph: Graph, bindings: List[LayerBinding]
-    ) -> List[int]:
-        """Per-layer stored weight sizes (one HtoD chunk each)."""
-        by_name: Dict[str, LayerBinding] = {
-            b.layer_name: b for b in bindings
-        }
-        chunks = []
-        for layer in graph.layers:
-            if not layer.weights:
-                continue
-            binding = by_name.get(layer.name)
-            if binding is None or binding.tactic is None:
-                chunks.append(layer.weight_bytes())
-            else:
-                chunks.append(_stored_weight_bytes(layer, binding.tactic.kernel))
-        return chunks

@@ -11,7 +11,7 @@ paper reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -320,38 +320,22 @@ def simulate_inference(
             0.5, 1.0 + jitter * rng.standard_normal(len(kernel_bases))
         )
 
-    has_transfers = any(entry[3] for entry in kernel_bases)
-
-    if hardware_hook is None and not has_transfers:
-        # Fast path: durations and start times vectorize.  Both the
-        # elementwise ``(base * factor) * overhead`` and the sequential
-        # left-to-right ``cumsum`` reproduce the scalar loop's float64
-        # operations exactly, so every event is bit-identical.
-        if factors is not None:
-            durs = base_vec * factors * overhead
-        else:
-            durs = base_vec * overhead
-        cum = np.concatenate(([cursor], durs)).cumsum()
-        starts = cum[:-1].tolist()
-        dur_list = durs.tolist()
-        timing.kernel_events.extend(
-            KernelEvent(name, layer, start, dur)
-            for (name, layer, _, _), start, dur in zip(
-                kernel_bases, starts, dur_list
-            )
-        )
-        cursor = float(cum[-1]) if kernel_bases else cursor
-    elif hardware_hook is None:
-        # Partitioned timeline without faults: same vectorized math,
-        # but transfer entries take the memcpy overhead factor and are
+    if hardware_hook is None:
+        # Durations and start times vectorize.  Both the elementwise
+        # ``(base * factor) * overhead`` and the sequential left-to-right
+        # ``cumsum`` reproduce the scalar loop's float64 operations
+        # exactly, so every event is bit-identical.  Transfer entries
+        # (partitioned engines) take the memcpy overhead factor and are
         # recorded as memcpy events mid-stream.
-        overheads = np.array(
-            [
-                memcpy_overhead if entry[3] else overhead
-                for entry in kernel_bases
-            ],
-            dtype=np.float64,
-        )
+        overheads: Union[float, np.ndarray] = overhead
+        if any(entry[3] for entry in kernel_bases):
+            overheads = np.array(
+                [
+                    memcpy_overhead if entry[3] else overhead
+                    for entry in kernel_bases
+                ],
+                dtype=np.float64,
+            )
         if factors is not None:
             durs = base_vec * factors * overheads
         else:

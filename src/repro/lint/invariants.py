@@ -25,13 +25,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.graph.ir import Graph, GraphError
 
 from repro.lint.core import (
-    Diagnostic,
     LintReport,
     LintRule,
     register_rule,
     run_rules,
 )
-from repro.lint.graph_rules import GraphView, lint_graph
+from repro.lint.graph_rules import GRAPH_RULES, GraphView
 
 #: Rules over a before/after pass delta.
 INVARIANT_RULES: Dict[str, LintRule] = {}
@@ -64,7 +63,12 @@ class GraphSnapshot:
                 for name, spec in graph.input_specs.items()
             },
         )
-        for diag in lint_graph(graph).errors:
+        # One view serves both the output shapes and the lint rules, so
+        # a capture infers shapes (and toposorts) once.
+        findings = run_rules(
+            GRAPH_RULES, view, subject_name=f"graph {graph.name!r}"
+        )
+        for diag in findings.errors:
             snapshot.error_counts[diag.rule_id] = (
                 snapshot.error_counts.get(diag.rule_id, 0) + 1
             )

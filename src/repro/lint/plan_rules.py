@@ -26,7 +26,7 @@ lazily inside the rule bodies.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.engine.engine import Engine
 from repro.engine.kernels import DEFAULT_CATALOG
@@ -63,24 +63,6 @@ _REQUIRED_PLAN_KEYS = (
     "bindings",
     "math",
 )
-
-
-def _expected_weight_chunks(engine: Engine) -> List[int]:
-    """Recompute per-layer stored weight bytes the way the builder does
-    (``EngineBuilder._weight_chunks``), from the engine's own bindings."""
-    from repro.engine.builder import _stored_weight_bytes
-
-    by_name = {b.layer_name: b for b in engine.bindings}
-    chunks: List[int] = []
-    for layer in engine.graph.layers:
-        if not layer.weights:
-            continue
-        binding = by_name.get(layer.name)
-        if binding is not None and len(binding.kernels) == 1:
-            chunks.append(_stored_weight_bytes(layer, binding.kernels[0]))
-        else:
-            chunks.append(layer.weight_bytes())
-    return chunks
 
 
 # ----------------------------------------------------------------------
@@ -126,16 +108,9 @@ def _check_binding_coverage(engine: Engine, report) -> None:
     "equation (weight chunks + fixed overhead + per-binding overhead).",
 )
 def _check_plan_size(engine: Engine, report) -> None:
-    from repro.engine.builder import (
-        PLAN_FIXED_OVERHEAD_BYTES,
-        PLAN_PER_BINDING_BYTES,
-    )
+    from repro.engine.builder import plan_size_bytes
 
-    expected = (
-        sum(engine.weight_chunks)
-        + PLAN_FIXED_OVERHEAD_BYTES
-        + PLAN_PER_BINDING_BYTES * len(engine.bindings)
-    )
+    expected = plan_size_bytes(engine.weight_chunks, len(engine.bindings))
     if engine.size_bytes != expected:
         report(
             f"engine records size_bytes={engine.size_bytes} but its "
@@ -149,7 +124,9 @@ def _check_plan_size(engine: Engine, report) -> None:
     "the bound kernels' storage formats require.",
 )
 def _check_weight_chunks(engine: Engine, report) -> None:
-    expected = _expected_weight_chunks(engine)
+    from repro.engine.builder import weight_chunks
+
+    expected = weight_chunks(engine.graph, engine.bindings)
     actual = [int(c) for c in engine.weight_chunks]
     if len(actual) != len(expected):
         report(

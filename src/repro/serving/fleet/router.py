@@ -25,7 +25,7 @@ folds those into ``trtsim_fleet_*`` counters and histograms.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.serving.fleet.breaker import CircuitBreaker

@@ -38,7 +38,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -300,9 +300,9 @@ class InferenceSupervisor:
         batching: micro-batching policy.  When set, each frame's
             admitted requests are coalesced through a
             :class:`~repro.serving.batching.BatchingQueue` and served
-            as batched engine executions; ``None`` (the default) keeps
-            the pre-batching one-request-per-execution path,
-            bit-identical to earlier behavior.
+            as batched engine executions; ``None`` (the default) serves
+            every admitted request on its own, as a one-stream batch
+            with no queue wait, in stream order.
 
     Per-frame board samples (RAM, GPU utilization, clock) go to the
     telemetry bus: attach a :class:`~repro.profiling.Tegrastats` sink
@@ -496,96 +496,6 @@ class InferenceSupervisor:
     # ------------------------------------------------------------------
     # request execution
     # ------------------------------------------------------------------
-    def _attempt(
-        self,
-        level: int,
-        stream_idx: int,
-        frame: int,
-        attempt: int,
-        clock_mhz: float,
-    ) -> Tuple[Optional[Dict], float, str]:
-        """One execution attempt: (outputs|None, latency_ms, fault)."""
-        context = self._contexts[level]
-        rng = np.random.default_rng(
-            (self.seed, stream_idx, frame, attempt)
-        )
-        fault = ""
-        outputs: Optional[Dict] = None
-        try:
-            result = context.execute(
-                **self._input_for(level, stream_idx, frame)
-            )
-            outputs = result.outputs
-            if not all(
-                np.isfinite(a).all() for a in outputs.values()
-            ):
-                fault = FaultKind.COMPUTE_NAN.value
-                outputs = None
-        except FaultError as exc:
-            fault = exc.kind.value
-        timing = context.time_inference(
-            clock_mhz=clock_mhz,
-            include_engine_upload=self.config.include_engine_upload,
-            rng=rng,
-            hardware_hook=self.injector,
-        )
-        return outputs, timing.total_ms, fault
-
-    def _serve_request(
-        self, stream_idx: int, frame: int, t_s: float, clock_mhz: float
-    ) -> RequestRecord:
-        cfg = self.config
-        stream = self.streams[stream_idx]
-        level = self._level if self.supervised else 0
-        total_ms = 0.0
-        attempts = 0
-        last_fault = ""
-        outputs: Optional[Dict] = None
-        max_attempts = 1 + (cfg.max_retries if self.supervised else 0)
-        while attempts < max_attempts:
-            attempts += 1
-            outputs, attempt_ms, fault = self._attempt(
-                level, stream_idx, frame, attempts, clock_mhz
-            )
-            if self.supervised and attempt_ms > cfg.watchdog_ms:
-                # Watchdog fired: the attempt is cut off at its budget
-                # and treated as a (probably hung) failure.
-                attempt_ms = cfg.watchdog_ms
-                fault = fault or FaultKind.KERNEL_HANG.value
-                outputs = None
-                self.actions.append(
-                    (t_s,
-                     f"watchdog cut attempt {attempts} of "
-                     f"{stream.name!r}#{frame} at {cfg.watchdog_ms:.1f} ms")
-                )
-            total_ms += attempt_ms
-            if fault:
-                last_fault = fault
-            if outputs is not None:
-                break
-            if self.supervised and attempts < max_attempts:
-                backoff_rng = np.random.default_rng(
-                    (self.seed, 23, stream_idx, frame, attempts)
-                )
-                total_ms += cfg.backoff_ms(attempts, backoff_rng)
-        ok = outputs is not None
-        return RequestRecord(
-            frame=frame,
-            stream=stream.name,
-            t_s=t_s,
-            ok=ok,
-            dropped=False,
-            deadline_met=ok and total_ms <= cfg.deadline_ms,
-            latency_ms=total_ms,
-            attempts=attempts,
-            level=level,
-            fault=last_fault,
-            output_digest=self._digest(outputs) if ok else "",
-        )
-
-    # ------------------------------------------------------------------
-    # micro-batched request execution
-    # ------------------------------------------------------------------
     def _attempt_batch(
         self,
         level: int,
@@ -594,8 +504,8 @@ class InferenceSupervisor:
         attempt: int,
         clock_mhz: float,
     ) -> Tuple[Optional[Dict], float, str]:
-        """One batched attempt over ``member_idx`` streams:
-        (stacked outputs|None, latency_ms, fault)."""
+        """One execution attempt over the ``member_idx`` streams'
+        stacked inputs: (stacked outputs|None, latency_ms, fault)."""
         context = self._contexts[level]
         engine = self.engines[level]
         stacked = np.concatenate(
@@ -605,8 +515,8 @@ class InferenceSupervisor:
             ],
             axis=0,
         )
-        # Singleton batches reuse the unbatched rng key so a
-        # max_batch=1 queue is bit-identical to per-request serving.
+        # A singleton keeps the per-request rng key, so an unbatched
+        # request and a max_batch=1 queue draw the same timing noise.
         if len(member_idx) == 1:
             rng = np.random.default_rng(
                 (self.seed, member_idx[0], frame, attempt)
@@ -648,9 +558,11 @@ class InferenceSupervisor:
     ) -> List[RequestRecord]:
         """Serve one micro-batch; every member shares the batch's fate.
 
-        ``wait_ms`` is the queue delay already accumulated before the
-        batch reached the GPU (coalescing wait + serialization behind
-        earlier batches); it counts against every member's deadline.
+        An unbatched request is the singleton ``[stream_idx]`` with no
+        wait.  ``wait_ms`` is the queue delay already accumulated before
+        the batch reached the GPU (coalescing wait + serialization
+        behind earlier batches); it counts against every member's
+        deadline.
         """
         cfg = self.config
         level = self._level if self.supervised else 0
@@ -665,14 +577,20 @@ class InferenceSupervisor:
                 level, member_idx, frame, attempts, clock_mhz
             )
             if self.supervised and attempt_ms > cfg.watchdog_ms:
+                # Watchdog fired: the attempt is cut off at its budget
+                # and treated as a (probably hung) failure.
                 attempt_ms = cfg.watchdog_ms
                 fault = fault or FaultKind.KERNEL_HANG.value
                 outputs = None
+                target = (
+                    repr(self.streams[member_idx[0]].name)
+                    if self.batching is None
+                    else f"batch x{len(member_idx)}"
+                )
                 self.actions.append(
                     (t_s,
-                     f"watchdog cut attempt {attempts} of batch "
-                     f"x{len(member_idx)}#{frame} at "
-                     f"{cfg.watchdog_ms:.1f} ms")
+                     f"watchdog cut attempt {attempts} of {target}"
+                     f"#{frame} at {cfg.watchdog_ms:.1f} ms")
                 )
             total_ms += attempt_ms
             if fault:
@@ -846,8 +764,8 @@ class InferenceSupervisor:
                     continue
                 if self.batching is not None:
                     continue  # served below as micro-batches
-                record = self._serve_request(
-                    stream_idx, frame, t_s, clock_mhz
+                (record,) = self._serve_batch(
+                    [stream_idx], frame, t_s, clock_mhz, wait_ms=0.0
                 )
                 self._record(report, record)
                 if self.supervised:

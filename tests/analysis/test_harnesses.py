@@ -64,6 +64,39 @@ class TestEngineFarm:
         engines = farm.engines("alexnet", "NX", 3)
         assert len({e.build_seed for e in engines}) == 3
 
+    def test_slot_seeds_independent_of_hash_salt(self):
+        """Regression: slot seeds once mixed ``hash(model_name)``, so
+        every ``farm.engine()`` table differed between interpreters
+        with different PYTHONHASHSEED values."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        script = (
+            "from repro.analysis.engines import EngineFarm;"
+            "farm = EngineFarm(pretrained=False);"
+            "print(farm._slot_seed('googlenet', 'NX', 0),"
+            " farm.engine('googlenet', 'NX', 0).name)"
+        )
+        outputs = set()
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ)
+            env["PYTHONPATH"] = src
+            env["PYTHONHASHSEED"] = hash_seed
+            out = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            outputs.add(out.stdout)
+        assert len(outputs) == 1
+
 
 class TestLatencyHarness:
     def test_paper_clocks(self):

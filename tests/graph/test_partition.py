@@ -44,6 +44,19 @@ class TestSingleProvider:
         assert not isinstance(engine, PartitionedEngine)
         assert all(b.provider == "trt" for b in engine.bindings)
 
+    def test_trt_instance_builds_the_classic_engine(self):
+        """Regression: a ``TrtProvider()`` instance (same store key as
+        ``"trt"``) once built an unfused per-op engine."""
+        from repro.runtime.providers import TrtProvider
+
+        engine = _build(TrtProvider())
+        classic = _build("trt")
+        assert not isinstance(engine, PartitionedEngine)
+        assert engine.name == classic.name
+        assert [b.kernels for b in engine.bindings] == [
+            b.kernels for b in classic.bindings
+        ]
+
     def test_cuda_build_is_partitioned_per_op(self):
         engine = _build("cuda")
         assert isinstance(engine, PartitionedEngine)

@@ -200,3 +200,22 @@ def test_clean_build_unaffected_by_guard():
     assert [b.layer_name for b in verified.bindings] == [
         b.layer_name for b in unverified.bindings
     ]
+
+
+def test_snapshot_infers_shapes_once(monkeypatch):
+    """A capture's output shapes and its lint rules share one view, so
+    shape inference runs once per snapshot."""
+    import repro.lint.graph_rules as graph_rules
+    from repro.lint.invariants import GraphSnapshot
+
+    calls = []
+    real = graph_rules.infer_shapes
+
+    def counting(graph):
+        calls.append(graph.name)
+        return real(graph)
+
+    monkeypatch.setattr(graph_rules, "infer_shapes", counting)
+    snapshot = GraphSnapshot.capture(make_small_cnn())
+    assert len(calls) == 1
+    assert all(shape is not None for shape in snapshot.output_shapes.values())
