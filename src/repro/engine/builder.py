@@ -464,8 +464,14 @@ class EngineBuilder:
         act_dtype: DataType,
         allowed: Sequence[DataType],
     ):
+        # Made once per merge pass.  A merged conv defines the same
+        # tensors with the same shapes as its group, so the shapes
+        # inferred before the first decision hold for every group.
+        shapes: Dict[str, Tuple[int, ...]] = {}
+
         def decide(graph: Graph, group: Sequence[Layer]) -> bool:
-            shapes = infer_shapes(graph)
+            if not shapes:
+                shapes.update(infer_shapes(graph))
             members = [layer_workload(l, shapes, act_dtype) for l in group]
             first = members[0]
             merged = LayerWorkload(

@@ -512,7 +512,7 @@ class EngineStore:
                 )
             self.misses += 1
             self._emit(digest, "miss", network=network.name)
-            engine, cache, fresh = self._build(network, device, config)
+            engine, cache, fresh = self._build(network, device, config, key)
             self._put(key, engine, cache)
             outcome = "rebuilt" if fresh == 0 else "miss"
             if self.pool is not None:
@@ -525,11 +525,14 @@ class EngineStore:
             )
 
     def _build(
-        self, network: Graph, device: DeviceSpec, config: BuilderConfig
+        self,
+        network: Graph,
+        device: DeviceSpec,
+        config: BuilderConfig,
+        key: StoreKey,
     ) -> Tuple[Engine, TimingCache, int]:
-        """Build through the entry's sidecar cache (warm when it
+        """Build ``key``'s entry through its sidecar cache (warm when it
         survived an eviction, cold otherwise)."""
-        key = store_key(network, device, config)
         cache = self.sidecar_cache(key.digest, device)
         if cache is None:
             cache = TimingCache(device_name=device.name)

@@ -13,6 +13,7 @@ kind it may encounter.
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -176,12 +177,19 @@ class Graph:
     dependency-respecting order regardless of insertion order.  Tensor
     names are the edges: a layer consumes the tensors in ``inputs`` and
     defines the tensors in ``outputs``.
+
+    A layer's ``outputs`` are fixed once it is inserted: the graph
+    indexes each tensor's producer at :meth:`add_layer` and drops it at
+    :meth:`remove_layer`, so renaming an output means replacing the
+    layer.  ``inputs`` may be rewired in place at any time (passes and
+    frontends do); no derived view depends on them between calls.
     """
 
     def __init__(self, name: str, input_specs: Iterable[TensorSpec]):
         self.name = name
         self.input_specs: Dict[str, TensorSpec] = {}
         self._layers: Dict[str, Layer] = {}
+        self._producers: Dict[str, Layer] = {}  # tensor -> defining layer
         self.output_names: List[str] = []
         for spec in input_specs:
             if spec.name in self.input_specs:
@@ -197,14 +205,16 @@ class Graph:
             raise GraphError(f"duplicate layer name {layer.name!r}")
         if not layer.outputs:
             raise GraphError(f"layer {layer.name!r} defines no outputs")
-        defined = self._defined_tensors()
+        fresh: set = set()
         for out in layer.outputs:
-            if out in defined or out in self.input_specs:
+            if out in self._producers or out in self.input_specs or out in fresh:
                 raise GraphError(
                     f"tensor {out!r} defined twice (layer {layer.name!r})"
                 )
-            defined.add(out)
+            fresh.add(out)
         self._layers[layer.name] = layer
+        for out in layer.outputs:
+            self._producers[out] = layer
         return layer
 
     def mark_output(self, tensor_name: str) -> None:
@@ -215,9 +225,12 @@ class Graph:
     def remove_layer(self, name: str) -> Layer:
         """Remove a layer by name and return it."""
         try:
-            return self._layers.pop(name)
+            layer = self._layers.pop(name)
         except KeyError:
             raise GraphError(f"no layer named {name!r}") from None
+        for out in layer.outputs:
+            del self._producers[out]
+        return layer
 
     def replace_layers(self, removed: Iterable[str], replacement: Layer) -> None:
         """Atomically swap a set of layers for a single fused layer.
@@ -254,18 +267,9 @@ class Graph:
     def __iter__(self) -> Iterator[Layer]:
         return iter(self._layers.values())
 
-    def _defined_tensors(self) -> set:
-        defined = set(self.input_specs)
-        for layer in self._layers.values():
-            defined.update(layer.outputs)
-        return defined
-
     def producer_of(self, tensor_name: str) -> Optional[Layer]:
         """The layer defining ``tensor_name`` (None for graph inputs)."""
-        for layer in self._layers.values():
-            if tensor_name in layer.outputs:
-                return layer
-        return None
+        return self._producers.get(tensor_name)
 
     def consumers_of(self, tensor_name: str) -> List[Layer]:
         """All layers that read ``tensor_name``."""
@@ -296,33 +300,59 @@ class Graph:
     # ------------------------------------------------------------------
     def toposort(self) -> List[Layer]:
         """Layers in dependency order; raises :class:`GraphError` on
-        cycles or references to undefined tensors."""
-        produced = dict(self.input_specs)  # tensor name -> anything truthy
-        pending = list(self._layers.values())
+        cycles or references to undefined tensors.
+
+        The order is that of repeated insertion-order sweeps, each
+        scheduling every layer whose inputs are defined by then: a
+        layer's sweep ("wave") is the latest wave of its producers,
+        plus one for a producer inserted after it.  Kahn's algorithm
+        computes the waves in O(V+E), plus O(V log V) for a heap over
+        insertion indices: the current wave is drained in insertion
+        order and a layer freed by a later-inserted producer waits for
+        the next wave.  Nothing is cached, so rewiring ``inputs`` in
+        place between calls is safe.
+        """
+        layers = list(self._layers.values())
+        missing: List[int] = []  # distinct not-yet-defined inputs per layer
+        consumers: Dict[str, List[int]] = {}
+        for i, layer in enumerate(layers):
+            needed = set(layer.inputs).difference(self.input_specs)
+            missing.append(len(needed))
+            for t in needed:
+                consumers.setdefault(t, []).append(i)
+        produced: set = set()
         ordered: List[Layer] = []
-        while pending:
-            progressed = False
-            still_pending = []
-            for layer in pending:
-                if all(t in produced for t in layer.inputs):
-                    ordered.append(layer)
-                    for out in layer.outputs:
-                        produced[out] = True
-                    progressed = True
-                else:
-                    still_pending.append(layer)
-            if not progressed:
-                missing = {
-                    t
-                    for layer in still_pending
-                    for t in layer.inputs
-                    if t not in produced
-                }
-                raise GraphError(
-                    f"graph {self.name!r} has a cycle or undefined tensors: "
-                    f"{sorted(missing)}"
-                )
-            pending = still_pending
+        wave = [i for i, n in enumerate(missing) if n == 0]
+        while wave:
+            next_wave: List[int] = []
+            while wave:
+                i = heapq.heappop(wave)
+                ordered.append(layers[i])
+                for out in layers[i].outputs:
+                    if out in produced:
+                        continue
+                    produced.add(out)
+                    for c in consumers.get(out, ()):
+                        missing[c] -= 1
+                        if missing[c] == 0:
+                            if c > i:
+                                heapq.heappush(wave, c)
+                            else:
+                                next_wave.append(c)
+            heapq.heapify(next_wave)
+            wave = next_wave
+        if len(ordered) < len(layers):
+            undefined = {
+                t
+                for i, layer in enumerate(layers)
+                if missing[i]
+                for t in layer.inputs
+                if t not in produced and t not in self.input_specs
+            }
+            raise GraphError(
+                f"graph {self.name!r} has a cycle or undefined tensors: "
+                f"{sorted(undefined)}"
+            )
         return ordered
 
     def validate(self, allow_dead: bool = False) -> None:
@@ -334,9 +364,8 @@ class Graph:
         pass restores the strict invariant.
         """
         ordered = self.toposort()
-        defined = self._defined_tensors()
         for out in self.output_names:
-            if out not in defined:
+            if out not in self._producers and out not in self.input_specs:
                 raise GraphError(f"graph output {out!r} is never defined")
         if not self.output_names:
             raise GraphError(f"graph {self.name!r} declares no outputs")

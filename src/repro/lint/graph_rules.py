@@ -108,7 +108,11 @@ class GraphView:
     @property
     def defined(self) -> Set[str]:
         """Every tensor name with a definition (inputs + layer outputs)."""
-        return set(self.graph.input_specs) | set(self.producers)
+        try:
+            return self._defined
+        except AttributeError:
+            self._defined = set(self.graph.input_specs) | set(self.producers)
+            return self._defined
 
     @property
     def consumed(self) -> Set[str]:
@@ -148,26 +152,27 @@ class GraphView:
         # Kahn's algorithm over fully-defined dependencies; whatever
         # cannot be scheduled *despite having all inputs defined* sits
         # on a cycle (dangling inputs are G001's business, not G003's).
-        remaining = {
-            layer.name: {
-                t
-                for t in layer.inputs
-                if t in self.defined and t not in self.graph.input_specs
-            }
-            for layer in self.graph.layers
-        }
-        produced: Set[str] = set(self.graph.input_specs)
-        changed = True
-        while changed:
-            changed = False
-            for layer in self.graph.layers:
-                if layer.name not in remaining:
+        # A tensor is ready once its first producer is scheduled.
+        internal = self.defined.difference(self.graph.input_specs)
+        missing: Dict[str, int] = {}
+        consumers: Dict[str, List[str]] = {}
+        for layer in self.graph.layers:
+            needed = internal.intersection(layer.inputs)
+            missing[layer.name] = len(needed)
+            for t in needed:
+                consumers.setdefault(t, []).append(layer.name)
+        ready = [name for name, n in missing.items() if n == 0]
+        produced: Set[str] = set()
+        while ready:
+            for out in self.graph.layer(ready.pop()).outputs:
+                if out in produced:
                     continue
-                if all(t in produced for t in remaining[layer.name]):
-                    produced.update(layer.outputs)
-                    del remaining[layer.name]
-                    changed = True
-        self._cyclic = sorted(remaining)
+                produced.add(out)
+                for name in consumers.get(out, ()):
+                    missing[name] -= 1
+                    if missing[name] == 0:
+                        ready.append(name)
+        self._cyclic = sorted(name for name, n in missing.items() if n)
         return self._cyclic
 
     @property

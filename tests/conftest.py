@@ -7,14 +7,22 @@ test runs are fast.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.analysis.engines import EngineFarm
 from repro.data.synthetic import SyntheticImageNet
 from repro.data.traffic import TrafficSceneDataset
 from repro.graph.builder import GraphBuilder
 from repro.graph.ir import Graph
+
+# ``HYPOTHESIS_PROFILE=ci`` makes every property test replay the same
+# examples, so a shared runner cannot draw a new counterexample per run.
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def make_small_cnn(

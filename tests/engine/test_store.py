@@ -162,6 +162,25 @@ class TestWarmPath:
         assert result.outcome == "hit"
         assert len(reads) == 2
 
+    def test_miss_digests_the_network_once(
+        self, store, small_cnn, monkeypatch
+    ):
+        """The store key (a digest of every weight array) is computed
+        once per ``get_or_build`` and handed to the build."""
+        import repro.engine.store as store_module
+
+        real_digest = store_module.network_digest
+        digests = []
+
+        def spy(graph):
+            digests.append(graph.name)
+            return real_digest(graph)
+
+        monkeypatch.setattr(store_module, "network_digest", spy)
+        _, result = store.get_or_build(small_cnn, XAVIER_NX)
+        assert result.outcome == "miss"
+        assert len(digests) == 1
+
 
 # ----------------------------------------------------------------------
 # corruption, eviction, rebuild

@@ -243,6 +243,45 @@ class TestEngineBuilder:
         engine = self._build(small_cnn, enable_horizontal_merge=False)
         assert engine.graph.count_kind(LayerKind.MERGED_CONV) == 0
 
+    def test_merge_pass_infers_shapes_once(self, monkeypatch):
+        """Merging a group keeps every tensor's shape, so the merge
+        decider infers shapes once per pass, not once per group."""
+        import repro.engine.builder as builder_mod
+        from repro.graph.builder import GraphBuilder
+
+        b = GraphBuilder("two_groups", (8, 16, 16), seed=5)
+        x = b.conv("stem", b.input_name, out_channels=8, kernel=3, pad=1)
+        for stage in ("a", "b"):
+            left = b.conv(f"{stage}1", x, out_channels=8, kernel=1)
+            right = b.conv(f"{stage}2", x, out_channels=4, kernel=1)
+            x = b.concat(f"cat_{stage}", [left, right])
+        graph = b.finish(x)
+
+        shape_calls = []
+        real_shapes = builder_mod.infer_shapes
+        real_merge = builder_mod.merge_horizontally
+        groups, per_pass = [], []
+
+        def counting_shapes(g):
+            shape_calls.append(g.name)
+            return real_shapes(g)
+
+        def counting_merge(g, decide):
+            def spy(g, group):
+                groups.append([l.name for l in group])
+                return decide(g, group)
+
+            start = len(shape_calls)
+            report = real_merge(g, decide=spy)
+            per_pass.append(len(shape_calls) - start)
+            return report
+
+        monkeypatch.setattr(builder_mod, "infer_shapes", counting_shapes)
+        monkeypatch.setattr(builder_mod, "merge_horizontally", counting_merge)
+        self._build(graph)
+        assert len(groups) == 2
+        assert per_pass == [1]
+
     def test_engine_size_includes_plan_overhead(self, small_cnn):
         from repro.engine.builder import (
             PLAN_FIXED_OVERHEAD_BYTES,

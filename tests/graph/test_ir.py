@@ -99,6 +99,44 @@ class TestGraphConstruction:
         with pytest.raises(GraphError, match="no outputs"):
             graph.add_layer(Layer("a", LayerKind.IDENTITY, ["data"], []))
 
+    def test_duplicate_messages_name_the_tensor_and_layer(self, graph):
+        graph.add_layer(_layer("a"))
+        with pytest.raises(GraphError) as exc:
+            graph.add_layer(_layer("a", outputs=["other"]))
+        assert str(exc.value) == "duplicate layer name 'a'"
+        with pytest.raises(GraphError) as exc:
+            graph.add_layer(_layer("b", outputs=["b_out", "a_out"]))
+        assert str(exc.value) == "tensor 'a_out' defined twice (layer 'b')"
+
+    def test_rejected_layer_leaves_nothing_behind(self, graph):
+        # A layer repeating one of its own outputs is rejected whole:
+        # neither the layer nor its first output is indexed.
+        with pytest.raises(GraphError, match="'x' defined twice"):
+            graph.add_layer(_layer("a", outputs=["x", "x"]))
+        assert not graph.has_layer("a")
+        assert graph.producer_of("x") is None
+        graph.add_layer(_layer("b", outputs=["x"]))
+        assert graph.producer_of("x").name == "b"
+
+    def test_removed_layer_frees_its_tensor_names(self, graph):
+        graph.add_layer(_layer("a", outputs=["t", "u"]))
+        graph.remove_layer("a")
+        assert graph.producer_of("t") is None
+        graph.add_layer(_layer("b", outputs=["u", "t"]))
+        assert graph.producer_of("t").name == "b"
+
+    def test_replaced_layers_free_their_tensor_names(self, graph):
+        graph.add_layer(_layer("a"))
+        graph.add_layer(_layer("b", inputs=["a_out"]))
+        graph.replace_layers(
+            ["a", "b"], Layer("a+b", LayerKind.IDENTITY, ["data"], ["b_out"])
+        )
+        # a_out is free again; b_out now belongs to the fused layer.
+        graph.add_layer(_layer("c", outputs=["a_out"]))
+        assert graph.producer_of("a_out").name == "c"
+        with pytest.raises(GraphError, match="'b_out' defined twice"):
+            graph.add_layer(_layer("d", outputs=["b_out"]))
+
     def test_remove_layer(self, graph):
         graph.add_layer(_layer("a"))
         removed = graph.remove_layer("a")
@@ -198,6 +236,12 @@ class TestGraphUtilities:
         dup.remove_layer("a")
         assert graph.has_layer("a")
         assert dup.output_names == ["a_out"]
+
+    def test_copy_indexes_its_own_layers(self, graph):
+        graph.add_layer(_layer("a"))
+        dup = graph.copy()
+        assert dup.producer_of("a_out") is dup.layer("a")
+        assert dup.producer_of("a_out") is not graph.layer("a")
 
     def test_replace_layers(self, graph):
         graph.add_layer(_layer("a"))
